@@ -1,13 +1,27 @@
-// Hot-kernel microbenchmarks (google-benchmark): wall-clock throughput of
-// the functional simulator's inner loops. These measure *simulator*
-// performance (how fast the reproduction runs on the host), complementing
-// the modeled hardware numbers in the other benches.
-#include <benchmark/benchmark.h>
+// Hot-kernel microbenchmarks: host wall-clock cost of the functional
+// simulator's inner loops (how fast the reproduction runs, not what the
+// modeled hardware takes). Each kernel is first checked against a naive
+// reference on the same inputs; any mismatch exits nonzero.
+//
+// Kernels: TCAM threshold search over a full 256x256 array, 32 GPCiM
+// accumulates, full-tile and partial-tile crossbar gemv, and a pooled
+// 32-row ImarsAccelerator::lookup_pooled.
+//
+// Emits BENCH_kernels.json (bench/harness.hpp JsonReport): one record per
+// kernel with its median ns/op over several timed batches.
+// IMARS_BENCH_QUICK=1 runs 10x fewer repetitions.
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <functional>
+#include <iostream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "cma/cma.hpp"
-#include "data/zipf.hpp"
-#include "lsh/lsh.hpp"
-#include "nn/embedding.hpp"
+#include "core/accelerator.hpp"
+#include "harness.hpp"
 #include "tensor/qtensor.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
@@ -17,99 +31,184 @@ using namespace imars;
 
 namespace {
 
-void BM_BitVecHamming(benchmark::State& state) {
-  const auto bits = static_cast<std::size_t>(state.range(0));
-  util::Xoshiro256 rng(1);
-  util::BitVec a(bits), b(bits);
-  for (std::size_t i = 0; i < bits; ++i) {
-    a.set(i, rng.bernoulli(0.5));
-    b.set(i, rng.bernoulli(0.5));
-  }
-  for (auto _ : state) benchmark::DoNotOptimize(a.hamming(b));
-}
-BENCHMARK(BM_BitVecHamming)->Arg(256)->Arg(1024);
+std::uint64_t g_sink = 0;  // keeps timed results observable
 
-void BM_CmaSearch(benchmark::State& state) {
-  const auto profile = device::DeviceProfile::fefet45();
-  device::EnergyLedger ledger;
-  cma::Cma array(profile, &ledger);
+/// Median ns per call of `op` over 5 batches of `reps` calls.
+double ns_per_op(const std::function<void()>& op, std::size_t reps) {
+  std::vector<double> batches;
+  for (int b = 0; b < 5; ++b) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < reps; ++i) op();
+    const auto t1 = std::chrono::steady_clock::now();
+    batches.push_back(
+        std::chrono::duration<double, std::nano>(t1 - t0).count() /
+        static_cast<double>(reps));
+  }
+  std::sort(batches.begin(), batches.end());
+  return batches[batches.size() / 2];
+}
+
+util::BitVec random_bits(std::size_t n, util::Xoshiro256& rng, double p) {
+  util::BitVec v(n);
+  for (std::size_t i = 0; i < n; ++i) v.set(i, rng.bernoulli(p));
+  return v;
+}
+
+std::int8_t random_i8(util::Xoshiro256& rng) {
+  return static_cast<std::int8_t>(static_cast<int>(rng.below(256)) - 128);
+}
+
+struct Kernel {
+  std::string name;
+  bool matches = false;
+  std::function<void()> op;
+  std::size_t reps = 0;
+};
+
+Kernel bench_search(const device::DeviceProfile& profile,
+                    device::EnergyLedger* ledger) {
+  auto array = std::make_shared<cma::Cma>(profile, ledger);
   util::Xoshiro256 rng(2);
-  for (std::size_t r = 0; r < 256; ++r) {
-    util::BitVec row(256);
-    for (std::size_t i = 0; i < 256; ++i) row.set(i, rng.bernoulli(0.5));
-    array.write_row(r, row);
+  std::vector<util::BitVec> rows, masks;
+  for (std::size_t r = 0; r < array->rows(); ++r) {
+    rows.push_back(random_bits(array->cols(), rng, 0.5));
+    masks.push_back(random_bits(array->cols(), rng, 0.05));
+    array->write_row(r, rows.back());
+    for (std::size_t c = 0; c < array->cols(); ++c)
+      if (masks.back().get(c)) array->set_dont_care(r, c, true);
   }
-  array.set_mode(cma::Mode::kTcam);
-  util::BitVec q(256);
-  for (auto _ : state) benchmark::DoNotOptimize(array.search(q, 96));
-}
-BENCHMARK(BM_CmaSearch);
+  array->set_mode(cma::Mode::kTcam);
+  const util::BitVec query = random_bits(array->cols(), rng, 0.5);
+  constexpr std::size_t kThreshold = 116;
 
-void BM_CmaAccumulate(benchmark::State& state) {
-  const auto profile = device::DeviceProfile::fefet45();
-  device::EnergyLedger ledger;
-  cma::Cma array(profile, &ledger);
-  for (std::size_t r = 0; r < 32; ++r)
-    array.write_row_i8(r, std::vector<std::int8_t>(32, static_cast<std::int8_t>(r)));
-  array.set_mode(cma::Mode::kGpcim);
-  std::vector<std::int32_t> acc(32, 0);
-  for (auto _ : state) {
-    for (std::size_t r = 0; r < 32; ++r) array.accumulate(r, acc);
-    benchmark::DoNotOptimize(acc.data());
+  std::vector<std::size_t> expected;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    std::size_t mismatches = 0;
+    for (std::size_t c = 0; c < array->cols(); ++c)
+      if (!masks[r].get(c) && rows[r].get(c) != query.get(c)) ++mismatches;
+    if (mismatches <= kThreshold) expected.push_back(r);
   }
+  const auto got = array->search(query, kThreshold);
+  return {"cma_search_256x256", got.matches == expected && !expected.empty(),
+          [array, query] {
+            g_sink += array->search(query, kThreshold).matches.size();
+          },
+          20000};
 }
-BENCHMARK(BM_CmaAccumulate);
 
-void BM_XbarGemv(benchmark::State& state) {
-  const auto profile = device::DeviceProfile::fefet45();
-  device::EnergyLedger ledger;
-  xbar::Crossbar xb(profile, &ledger);
+Kernel bench_accumulate(const device::DeviceProfile& profile,
+                        device::EnergyLedger* ledger) {
+  auto array = std::make_shared<cma::Cma>(profile, ledger);
   util::Xoshiro256 rng(3);
-  const auto w = tensor::QMatrix::quantize(
-      tensor::Matrix::randn(256, 128, 1.0f, rng));
-  xb.load_weights(w);
-  std::vector<std::int8_t> in(256);
-  for (auto& v : in)
-    v = static_cast<std::int8_t>(static_cast<int>(rng.below(200)) - 100);
-  for (auto _ : state) benchmark::DoNotOptimize(xb.gemv(in, nullptr));
+  const std::size_t lanes = array->cols() / 8;
+  std::vector<std::int32_t> expected(lanes, 0);
+  for (std::size_t r = 0; r < 32; ++r) {
+    std::vector<std::int8_t> row(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      row[l] = random_i8(rng);
+      expected[l] += row[l];
+    }
+    array->write_row_i8(r, row);
+  }
+  array->set_mode(cma::Mode::kGpcim);
+  std::vector<std::int32_t> acc(lanes, 0);
+  for (std::size_t r = 0; r < 32; ++r) array->accumulate(r, acc);
+  return {"cma_accumulate_x32", acc == expected,
+          [array, acc]() mutable {
+            for (std::size_t r = 0; r < 32; ++r) array->accumulate(r, acc);
+            g_sink += static_cast<std::uint64_t>(acc[0]);
+          },
+          50000};
 }
-BENCHMARK(BM_XbarGemv);
 
-void BM_LshEncode(benchmark::State& state) {
-  const auto bits = static_cast<std::size_t>(state.range(0));
-  const lsh::RandomHyperplaneLsh hasher(32, bits, 4);
-  util::Xoshiro256 rng(5);
-  tensor::Vector v(32);
-  for (auto& x : v) x = static_cast<float>(rng.normal());
-  for (auto _ : state) benchmark::DoNotOptimize(hasher.encode(v));
+Kernel bench_gemv(const std::string& name,
+                  const device::DeviceProfile& profile,
+                  device::EnergyLedger* ledger, std::size_t block_rows,
+                  std::size_t block_cols, std::uint64_t seed) {
+  auto xb = std::make_shared<xbar::Crossbar>(profile, ledger);
+  util::Xoshiro256 rng(seed);
+  tensor::QMatrix w(block_rows, block_cols, util::QuantParams{1.0f});
+  for (std::size_t r = 0; r < block_rows; ++r)
+    for (std::size_t c = 0; c < block_cols; ++c) w.at(r, c) = random_i8(rng);
+  xb->load_weights(w);
+  std::vector<std::int8_t> in(xb->rows());
+  for (auto& v : in) v = random_i8(rng);
+
+  // Every tile column: the programmed block's dot products, 0 elsewhere.
+  std::vector<std::int32_t> expected(xb->cols(), 0);
+  for (std::size_t c = 0; c < block_cols; ++c)
+    for (std::size_t r = 0; r < block_rows; ++r)
+      expected[c] += static_cast<std::int32_t>(w.at(r, c)) * in[r];
+  return {name, xb->gemv(in, nullptr) == expected,
+          [xb, in] {
+            g_sink += static_cast<std::uint64_t>(xb->gemv(in, nullptr)[0]);
+          },
+          20000};
 }
-BENCHMARK(BM_LshEncode)->Arg(64)->Arg(256);
 
-void BM_EmbeddingPool(benchmark::State& state) {
-  const auto lookups = static_cast<std::size_t>(state.range(0));
+Kernel bench_lookup(const device::DeviceProfile& profile) {
+  auto acc = std::make_shared<core::ImarsAccelerator>(core::ArchConfig{},
+                                                      profile);
   util::Xoshiro256 rng(6);
-  nn::EmbeddingTable table(4096, 32, rng);
-  std::vector<std::size_t> idx(lookups);
-  for (auto& i : idx) i = rng.below(4096);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(table.lookup_pooled(idx, nn::Pooling::kMean));
+  tensor::QMatrix table(3952, 32, util::QuantParams{0.01f});
+  for (std::size_t r = 0; r < table.rows(); ++r)
+    for (std::size_t c = 0; c < table.cols(); ++c)
+      table.at(r, c) = random_i8(rng);
+  core::LookupRequest req{acc->load_uiet("items", table), {}, false};
+  std::vector<std::int32_t> expected(32, 0);
+  for (int i = 0; i < 32; ++i) {
+    req.indices.push_back(rng.below(table.rows()));
+    for (std::size_t c = 0; c < 32; ++c)
+      expected[c] += table.at(req.indices.back(), c);
+  }
+  const auto got = acc->lookup_pooled(
+      std::span(&req, 1), core::TimingMode::kActualPlacement, nullptr);
+  return {"lookup_pooled_32rows", got[0].lanes == expected,
+          [acc, req] {
+            recsys::OpCost cost;
+            g_sink += acc->lookup_pooled(std::span(&req, 1),
+                                         core::TimingMode::kActualPlacement,
+                                         &cost)[0].count;
+          },
+          20000};
 }
-BENCHMARK(BM_EmbeddingPool)->Arg(1)->Arg(8)->Arg(64);
-
-void BM_ZipfSample(benchmark::State& state) {
-  const data::ZipfSampler zipf(30000, 1.1);
-  util::Xoshiro256 rng(7);
-  for (auto _ : state) benchmark::DoNotOptimize(zipf.sample(rng));
-}
-BENCHMARK(BM_ZipfSample);
-
-void BM_GemvI8(benchmark::State& state) {
-  util::Xoshiro256 rng(8);
-  const auto w = tensor::QMatrix::quantize(
-      tensor::Matrix::randn(128, 256, 1.0f, rng));
-  std::vector<std::int8_t> in(256, 3);
-  for (auto _ : state) benchmark::DoNotOptimize(tensor::gemv_i8(w, in));
-}
-BENCHMARK(BM_GemvI8);
 
 }  // namespace
+
+int main() {
+  const bool quick = bench::quick_mode();
+  const auto profile = device::DeviceProfile::fefet45();
+  device::EnergyLedger ledger;
+
+  std::vector<Kernel> kernels;
+  kernels.push_back(bench_search(profile, &ledger));
+  kernels.push_back(bench_accumulate(profile, &ledger));
+  kernels.push_back(bench_gemv("xbar_gemv_full_256x128", profile, &ledger,
+                               256, 128, 4));
+  // The rank MLP's 128 -> 1 output layer: one programmed column.
+  kernels.push_back(bench_gemv("xbar_gemv_partial_128x1", profile, &ledger,
+                               128, 1, 5));
+  kernels.push_back(bench_lookup(profile));
+
+  bench::JsonReport json("kernels");
+  bool ok = true;
+  std::cout << "kernel                      ns/op      reference\n";
+  for (const auto& k : kernels) {
+    const std::size_t reps = quick ? k.reps / 10 : k.reps;
+    const double ns = ns_per_op(k.op, reps);
+    std::cout << k.name << std::string(28 - k.name.size(), ' ') << ns
+              << (k.matches ? "      match\n" : "      MISMATCH\n");
+    json.record(k.name)
+        .set("ns_per_op", ns)
+        .set("reps", reps)
+        .set("matches_reference", k.matches ? 1 : 0);
+    ok = ok && k.matches;
+  }
+  std::cerr << "[bench] sink " << g_sink << "\n";
+  if (!json.write()) return 1;
+  if (!ok) {
+    std::cerr << "[bench] FAIL: a kernel disagrees with its naive reference\n";
+    return 1;
+  }
+  return 0;
+}

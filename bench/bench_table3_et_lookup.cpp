@@ -90,9 +90,10 @@ int main() {
       << "(the RSC serialization across 26 banks is modelled explicitly).\n"
       << "Energy: the Criteo point anchors the per-array peripheral\n"
       << "calibration; MovieLens energy composes ~2x below the paper's\n"
-      << "value (see EXPERIMENTS.md for the residual analysis). The\n"
-      << "orderings the paper reports -- iMARS wins latency by 40-60x,\n"
-      << "energy by 1.5-2.5 orders, Criteo > MovieLens latency, MovieLens\n"
-      << "energy reduction >> Criteo's -- all reproduce.\n";
+      << "value (the residual analysis is the ROADMAP.md open item\n"
+      << "\"Per-query attribution that sums exactly, then paper-fidelity\n"
+      << "gates\"). The orderings the paper reports -- iMARS wins latency\n"
+      << "by 40-60x, energy by 1.5-2.5 orders, Criteo > MovieLens latency,\n"
+      << "MovieLens energy reduction >> Criteo's -- all reproduce.\n";
   return 0;
 }

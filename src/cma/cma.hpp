@@ -135,12 +135,26 @@ class Cma {
   /// access). Not part of the hardware API: no mode check, no charge.
   util::BitVec peek_row(std::size_t row) const;
 
-  /// Unaccounted int8-lane view of a row (see peek_row).
-  std::vector<std::int8_t> peek_row_i8(std::size_t row) const;
+  /// Unaccounted pooling: adds row `row`'s int8 lanes into `acc` (int32
+  /// lanes, see accumulate) with no mode check and no charge (see peek_row).
+  void peek_accumulate(std::size_t row, std::span<std::int32_t> acc) const;
 
  private:
   void check_row(std::size_t row) const;
   void require_mode(Mode m, const char* op) const;
+  /// Marks `row` written and charges one RAM write; returns its latency.
+  device::Ns commit_write(std::size_t row);
+  /// Checks and charges one RAM read of `row`.
+  void charge_read(std::size_t row, device::Ns* latency) const;
+  /// Stored words of `row` (words_per_row_ of them, low word first).
+  const std::uint64_t* row_words(std::size_t row) const noexcept {
+    return &data_[row * words_per_row_];
+  }
+  std::uint64_t* row_words(std::size_t row) noexcept {
+    return &data_[row * words_per_row_];
+  }
+  /// Adds the int8 lanes of `row` into `acc` (sizes already checked).
+  void add_lanes(std::size_t row, std::span<std::int32_t> acc) const noexcept;
 
   const device::DeviceProfile* profile_;
   device::EnergyLedger* ledger_;
@@ -149,8 +163,12 @@ class Cma {
   Mode mode_ = Mode::kRam;
   std::size_t mode_switches_ = 0;
 
-  std::vector<util::BitVec> data_;   ///< stored bits, one BitVec per row
-  std::vector<util::BitVec> xmask_;  ///< don't-care mask per row
+  std::size_t words_per_row_;
+  // Row-major packed storage, rows_ x words_per_row_ 64-bit words, in
+  // util::BitVec's word layout (bit c of a row = bit c%64 of word c/64;
+  // tail bits past cols_ stay zero).
+  std::vector<std::uint64_t> data_;   ///< stored bits
+  std::vector<std::uint64_t> xmask_;  ///< don't-care mask (1 = X)
   std::vector<bool> valid_;          ///< row has been written
   std::vector<std::uint64_t> writes_;  ///< per-row write counts (endurance)
 };

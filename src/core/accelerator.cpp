@@ -178,11 +178,7 @@ PooledResult ImarsAccelerator::bank_lookup(BankState& b,
 
   for (const auto& [cma_id, rows] : by_cma) {
     const auto& arr = b.data_cmas[cma_id];
-    for (auto r : rows) {
-      const auto lanes = arr.peek_row_i8(r);
-      for (std::size_t l = 0; l < result.lanes.size(); ++l)
-        result.lanes[l] += lanes[l];
-    }
+    for (auto r : rows) arr.peek_accumulate(r, result.lanes);
   }
 
   // ---- Accounting. -------------------------------------------------------
@@ -461,13 +457,19 @@ std::vector<std::size_t> ImarsAccelerator::topk_ctr(
   // monotonically decreasing in the score (Sec III-C step (2e)).
   ctr_buffer_->set_mode(cma::Mode::kRam);
   Ns write_lat{0.0};
+  std::vector<std::uint64_t> therm((arch_.cma_cols + 63) / 64);
   for (std::size_t i = 0; i < scores.size(); ++i) {
     const float s = std::clamp(scores[i], 0.0f, 1.0f);
     const auto ones = static_cast<std::size_t>(
         std::lround(static_cast<double>(s) * static_cast<double>(arch_.cma_cols)));
-    util::BitVec row(arch_.cma_cols);
-    for (std::size_t c = 0; c < ones; ++c) row.set(c, true);
-    write_lat += ctr_buffer_->write_row(i, row);  // writes serialize
+    for (std::size_t w = 0; w < therm.size(); ++w) {
+      const std::size_t lo = w * 64;
+      therm[w] = ones >= lo + 64 ? ~0ULL
+                 : ones > lo    ? (1ULL << (ones - lo)) - 1
+                                : 0ULL;
+    }
+    write_lat += ctr_buffer_->write_row(  // writes serialize
+        i, util::BitVec::from_words(therm, arch_.cma_cols));
   }
 
   // Threshold sweep: binary-search the dummy-cell reference until at least

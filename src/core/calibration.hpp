@@ -3,8 +3,9 @@
 // The paper composes its system-level numbers (Table III, Sec IV-C) from the
 // Table II array FoM plus assumptions it states but does not fully quantify.
 // The two constants below close that gap; each carries its derivation.
-// EXPERIMENTS.md reports paper-vs-measured for every number that depends on
-// them.
+// The paper-vs-measured residual analysis for the numbers that depend on
+// them is the ROADMAP.md open item "Per-query attribution that sums
+// exactly, then paper-fidelity gates".
 #pragma once
 
 #include <cstddef>
@@ -32,7 +33,8 @@ inline constexpr std::size_t kWorstCaseLookupsPerTable = 8;
 /// system energies scale with the number of active arrays (0.40uJ for 54-74
 /// active CMAs on MovieLens vs 6.88uJ for 2860 on Criteo). Solving the
 /// Criteo point for the per-array overhead gives ~2.4 nJ per array per ET
-/// operation; MovieLens then lands within ~2x (see EXPERIMENTS.md).
+/// operation; MovieLens then lands within ~2x (residual analysis: see the
+/// ROADMAP.md item named at the top of this file).
 inline constexpr double kPeripheralPjPerActiveCmaPerOp = 2400.0;
 
 /// Peripheral energy charged per *searched* signature CMA per NNS operation

@@ -1,6 +1,6 @@
 #include "util/bitvec.hpp"
 
-#include <bit>
+#include <algorithm>
 
 #include "util/error.hpp"
 
@@ -10,6 +10,10 @@ namespace {
 constexpr std::size_t kWordBits = 64;
 constexpr std::size_t word_count(std::size_t nbits) {
   return (nbits + kWordBits - 1) / kWordBits;
+}
+/// The low `n` bits set, for n in [1, 64].
+constexpr std::uint64_t low_mask(std::size_t n) {
+  return n >= kWordBits ? ~0ULL : (1ULL << n) - 1;
 }
 }  // namespace
 
@@ -73,7 +77,7 @@ void BitVec::fill(bool value) {
 
 std::size_t BitVec::popcount() const noexcept {
   std::size_t total = 0;
-  for (auto w : words_) total += static_cast<std::size_t>(std::popcount(w));
+  for (auto w : words_) total += static_cast<std::size_t>(popcount64(w));
   return total;
 }
 
@@ -81,7 +85,7 @@ std::size_t BitVec::hamming(const BitVec& other) const {
   IMARS_REQUIRE(nbits_ == other.nbits_, "hamming: size mismatch");
   std::size_t total = 0;
   for (std::size_t w = 0; w < words_.size(); ++w) {
-    total += static_cast<std::size_t>(std::popcount(words_[w] ^ other.words_[w]));
+    total += static_cast<std::size_t>(popcount64(words_[w] ^ other.words_[w]));
   }
   return total;
 }
@@ -121,9 +125,15 @@ void BitVec::copy_from(const BitVec& src, std::size_t src_begin,
                        std::size_t len, std::size_t dst_begin) {
   IMARS_REQUIRE(src_begin + len <= src.nbits_, "copy_from: source range");
   IMARS_REQUIRE(dst_begin + len <= nbits_, "copy_from: destination range");
-  // Bit-by-bit copy: ranges are short (<= 512 bits) in all call sites.
-  for (std::size_t i = 0; i < len; ++i) {
-    set(dst_begin + i, src.get(src_begin + i));
+  if (&src == this) {
+    // Overlapping self-copy: read every source bit before writing any.
+    const BitVec copy = src;
+    copy_from(copy, src_begin, len, dst_begin);
+    return;
+  }
+  for (std::size_t done = 0; done < len; done += kWordBits) {
+    const std::size_t n = std::min(kWordBits, len - done);
+    put_bits(dst_begin + done, n, src.bits_at(src_begin + done, n));
   }
 }
 
@@ -136,17 +146,32 @@ BitVec BitVec::slice(std::size_t begin, std::size_t len) const {
 
 std::uint8_t BitVec::byte_at(std::size_t begin) const {
   IMARS_REQUIRE(begin + 8 <= nbits_, "byte_at: range out of bounds");
-  std::uint8_t value = 0;
-  for (int b = 0; b < 8; ++b) {
-    if (get(begin + static_cast<std::size_t>(b))) value |= (1u << b);
-  }
-  return value;
+  return static_cast<std::uint8_t>(bits_at(begin, 8));
 }
 
 void BitVec::set_byte(std::size_t begin, std::uint8_t value) {
   IMARS_REQUIRE(begin + 8 <= nbits_, "set_byte: range out of bounds");
-  for (int b = 0; b < 8; ++b) {
-    set(begin + static_cast<std::size_t>(b), (value >> b) & 1u);
+  put_bits(begin, 8, value);
+}
+
+std::uint64_t BitVec::bits_at(std::size_t pos, std::size_t n) const noexcept {
+  const std::size_t w = pos / kWordBits;
+  const std::size_t s = pos % kWordBits;
+  std::uint64_t v = words_[w] >> s;
+  if (s + n > kWordBits) v |= words_[w + 1] << (kWordBits - s);
+  return v & low_mask(n);
+}
+
+void BitVec::put_bits(std::size_t pos, std::size_t n,
+                      std::uint64_t value) noexcept {
+  const std::size_t w = pos / kWordBits;
+  const std::size_t s = pos % kWordBits;
+  const std::uint64_t mask = low_mask(n);
+  value &= mask;
+  words_[w] = (words_[w] & ~(mask << s)) | (value << s);
+  if (s + n > kWordBits) {
+    const std::size_t spill = kWordBits - s;  // bits already placed in word w
+    words_[w + 1] = (words_[w + 1] & ~(mask >> spill)) | (value >> spill);
   }
 }
 

@@ -14,6 +14,16 @@
 
 namespace imars::util {
 
+/// Set bits in a word. Portable SWAR count: the default x86-64 target has no
+/// popcnt instruction, and std::popcount there is an out-of-line libgcc
+/// table walk.
+constexpr int popcount64(std::uint64_t x) noexcept {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
+}
+
 /// Fixed-size-after-construction vector of bits.
 class BitVec {
  public:
@@ -76,6 +86,10 @@ class BitVec {
  private:
   void check_index(std::size_t i) const;
   void clear_tail() noexcept;
+  /// Unchecked: bits [pos, pos+n) as the low bits of a word, n in [1, 64].
+  std::uint64_t bits_at(std::size_t pos, std::size_t n) const noexcept;
+  /// Unchecked: writes the low `n` bits of `value` into [pos, pos+n).
+  void put_bits(std::size_t pos, std::size_t n, std::uint64_t value) noexcept;
 
   std::vector<std::uint64_t> words_;
   std::size_t nbits_ = 0;

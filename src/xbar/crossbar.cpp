@@ -1,5 +1,7 @@
 #include "xbar/crossbar.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace imars::xbar {
@@ -7,22 +9,31 @@ namespace imars::xbar {
 using device::Component;
 using device::Ns;
 
+namespace {
+// Input rows per gemv dot-product chunk: a fixed trip count the compiler
+// unrolls and vectorizes (int16 x int16 products summed pairwise to int32).
+constexpr std::size_t kRowChunk = 16;
+}  // namespace
+
 Crossbar::Crossbar(const device::DeviceProfile& profile,
                    device::EnergyLedger* ledger)
     : profile_(&profile),
       ledger_(ledger),
       rows_(profile.xbar_rows),
-      cols_(profile.xbar_cols),
-      w_(rows_ * cols_, 0) {
+      cols_(profile.xbar_cols) {
   IMARS_REQUIRE(ledger != nullptr, "Crossbar: ledger must not be null");
 }
 
 void Crossbar::load_weights(const tensor::QMatrix& w) {
   IMARS_REQUIRE(w.rows() <= rows_ && w.cols() <= cols_,
                 "Crossbar::load_weights: block larger than tile");
-  std::fill(w_.begin(), w_.end(), 0);
-  for (std::size_t r = 0; r < w.rows(); ++r)
-    for (std::size_t c = 0; c < w.cols(); ++c) w_[r * cols_ + c] = w.at(r, c);
+  block_rows_ = w.rows();
+  block_cols_ = w.cols();
+  stride_ = (block_rows_ + kRowChunk - 1) / kRowChunk * kRowChunk;
+  w_.assign(block_cols_ * stride_, 0);
+  for (std::size_t r = 0; r < block_rows_; ++r)
+    for (std::size_t c = 0; c < block_cols_; ++c)
+      w_[c * stride_ + r] = w.at(r, c);
   // Cell programming: one row-write-equivalent per occupied row.
   ledger_->charge(Component::kCmaRam,
                   profile_->cma_write.energy * static_cast<double>(w.rows()),
@@ -33,12 +44,19 @@ std::vector<std::int32_t> Crossbar::gemv(std::span<const std::int8_t> in,
                                          device::Ns* latency) const {
   IMARS_REQUIRE(in.size() == rows_, "Crossbar::gemv: input size mismatch");
   std::vector<std::int32_t> out(cols_, 0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const std::int32_t x = in[r];
-    if (x == 0) continue;
-    const std::int8_t* wrow = &w_[r * cols_];
-    for (std::size_t c = 0; c < cols_; ++c)
-      out[c] += x * static_cast<std::int32_t>(wrow[c]);
+  // Cells outside the programmed block are 0: only the block contributes.
+  // Inputs of the block's rows, widened and zero-padded to stride_.
+  std::vector<std::int16_t> x(stride_, 0);
+  std::copy(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(block_rows_),
+            x.begin());
+  for (std::size_t c = 0; c < block_cols_; ++c) {
+    const std::int16_t* wc = &w_[c * stride_];
+    std::int32_t acc = 0;
+    for (std::size_t r0 = 0; r0 < stride_; r0 += kRowChunk)
+      for (std::size_t k = 0; k < kRowChunk; ++k)
+        acc += static_cast<std::int32_t>(wc[r0 + k]) *
+               static_cast<std::int32_t>(x[r0 + k]);
+    out[c] = acc;
   }
   ledger_->charge(Component::kCrossbar, profile_->xbar_matmul.energy);
   if (latency != nullptr) *latency = profile_->xbar_matmul.latency;
@@ -47,7 +65,8 @@ std::vector<std::int32_t> Crossbar::gemv(std::span<const std::int8_t> in,
 
 std::int8_t Crossbar::weight(std::size_t r, std::size_t c) const {
   IMARS_REQUIRE(r < rows_ && c < cols_, "Crossbar::weight out of range");
-  return w_[r * cols_ + c];
+  if (r >= block_rows_ || c >= block_cols_) return 0;
+  return static_cast<std::int8_t>(w_[c * stride_ + r]);
 }
 
 TiledMatVec::TiledMatVec(const device::DeviceProfile& profile,

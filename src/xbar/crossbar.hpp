@@ -29,11 +29,13 @@ class Crossbar {
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
 
-  /// Programs the tile with `w` (r x c <= rows x cols); unused cells are 0.
-  /// Programming cost is accounted as one-time CMA-RAM-class writes.
+  /// Programs the tile with `w` (r x c <= rows x cols); unused cells are 0,
+  /// including any a previous, larger block occupied. Programming cost is
+  /// accounted as one-time CMA-RAM-class writes.
   void load_weights(const tensor::QMatrix& w);
 
   /// Tile gemv: out[c] = sum_r w[r][c] * in[r]; `in` size must equal rows().
+  /// Returns cols() outputs; those outside the programmed block are 0.
   /// Charges one xbar matmul FoM; latency via out-parameter.
   std::vector<std::int32_t> gemv(std::span<const std::int8_t> in,
                                  device::Ns* latency) const;
@@ -46,7 +48,15 @@ class Crossbar {
   device::EnergyLedger* ledger_;
   std::size_t rows_;
   std::size_t cols_;
-  std::vector<std::int8_t> w_;  // rows x cols, row-major
+  // Only the programmed block is stored (every other cell is 0), transposed
+  // so each output column's weights are contiguous: column c occupies
+  // w_[c * stride_, c * stride_ + block_rows_), zero-padded to stride_ =
+  // block_rows_ rounded up to whole gemv row chunks. int16 cells let the
+  // chunked dot product compile to multiply-add-pairs vector code.
+  std::size_t block_rows_ = 0;
+  std::size_t block_cols_ = 0;
+  std::size_t stride_ = 0;
+  std::vector<std::int16_t> w_;
 };
 
 /// A weight matrix tiled over as many crossbars as needed.

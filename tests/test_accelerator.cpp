@@ -4,13 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
 #include <numeric>
+#include <string>
 
 #include "core/accelerator.hpp"
 #include "core/calibration.hpp"
 #include "lsh/lsh.hpp"
+#include "nn/mlp.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "xbar/xbar_mlp.hpp"
 
 namespace imars {
 namespace {
@@ -308,12 +313,189 @@ TEST(Accelerator, TopkCtrQuantizedTiesKeepIndexOrder) {
   EXPECT_EQ(top[1], 0u);
 }
 
+TEST(Accelerator, TopkCtrThermometerFillsWholeWords) {
+  Fixture f;
+  // Scores whose thermometer codes end exactly on a 64-bit word boundary
+  // (64/128/192/256 ones), each next to a slightly lower score.
+  const std::vector<float> scores = {0.25f, 0.2f, 0.5f,  0.45f,
+                                     0.75f, 0.7f, 1.0f, 0.95f};
+  std::vector<std::size_t> by_score(scores.size());
+  std::iota(by_score.begin(), by_score.end(), 0);
+  std::sort(by_score.begin(), by_score.end(),
+            [&](std::size_t a, std::size_t b) { return scores[a] > scores[b]; });
+  for (std::size_t k = 1; k <= scores.size(); ++k) {
+    const std::vector<std::size_t> expected(by_score.begin(),
+                                            by_score.begin() + k);
+    EXPECT_EQ(f.acc.topk_ctr(scores, k, nullptr), expected) << "k " << k;
+  }
+}
+
 TEST(Accelerator, ResetEnergyClearsLedger) {
   Fixture f;
   (void)f.acc.load_uiet("t", random_table(100, 21));
   EXPECT_GT(f.acc.ledger().total().value, 0.0);
   f.acc.reset_energy();
   EXPECT_DOUBLE_EQ(f.acc.ledger().total().value, 0.0);
+}
+
+// ---------- charge pinning ---------------------------------------------------
+//
+// The functional kernels (TCAM search, lane pooling, crossbar gemv) may be
+// rewritten for host speed, but what they charge is part of the model. These
+// golden values were recorded with the bit-at-a-time kernels; every op below
+// must reproduce its OpCost latency, OpCost energy, ledger total and
+// per-component op counts exactly (not within a tolerance).
+
+struct Charges {
+  std::string op;
+  double latency_ns;
+  double energy_pj;
+  double ledger_pj;
+  std::array<std::size_t, static_cast<std::size_t>(Component::kCount)> ops;
+};
+
+Charges charges_of(const std::string& op, const recsys::OpCost& cost,
+                   const device::EnergyLedger& ledger) {
+  Charges c{op, cost.latency.value, cost.energy.value, ledger.total().value,
+            {}};
+  for (std::size_t i = 0; i < c.ops.size(); ++i)
+    c.ops[i] = ledger.ops(static_cast<Component>(i));
+  return c;
+}
+
+// C++ initializer for `c`, round-trip exact, for re-pinning on purpose.
+std::string initializer(const Charges& c) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "{\"%s\", %.17g, %.17g, %.17g, {",
+                c.op.c_str(), c.latency_ns, c.energy_pj, c.ledger_pj);
+  std::string s = buf;
+  for (std::size_t i = 0; i < c.ops.size(); ++i)
+    s += (i ? ", " : "") + std::to_string(c.ops[i]);
+  return s + "}},";
+}
+
+// Every op runs on a freshly reset ledger, so each record is that op alone.
+std::vector<Charges> measure_charges() {
+  std::vector<Charges> out;
+  const DeviceProfile profile = DeviceProfile::fefet45();
+  const lsh::RandomHyperplaneLsh hasher(32, 256, 77);
+  for (const auto placement :
+       {core::RowPlacement::kSequential, core::RowPlacement::kStriped}) {
+    const std::string tag =
+        placement == core::RowPlacement::kSequential ? "seq." : "striped.";
+    ArchConfig arch;
+    arch.placement = placement;
+    ImarsAccelerator acc(arch, profile);
+    const auto uiet = acc.load_uiet("u", random_table(700, 31));
+    const QMatrix items = random_table(900, 32);
+    const Matrix deq = items.dequantize();
+    std::vector<util::BitVec> sigs;
+    for (std::size_t r = 0; r < deq.rows(); ++r)
+      sigs.push_back(hasher.encode(deq.row(r)));
+    const auto itet = acc.load_itet("i", items, sigs);
+
+    // Duplicates and same-array collisions under both placements.
+    const std::vector<LookupRequest> reqs = {
+        {uiet, {3, 3, 17, 256, 300, 511, 512, 699, 4, 5, 6, 258}, true},
+        {itet, {0, 1, 255, 256, 899}, false}};
+    for (const auto mode :
+         {TimingMode::kActualPlacement, TimingMode::kWorstCaseSameArray}) {
+      acc.reset_energy();
+      recsys::OpCost cost;
+      (void)acc.lookup_pooled(reqs, mode, &cost);
+      out.push_back(charges_of(
+          tag + (mode == TimingMode::kActualPlacement ? "lookup.actual"
+                                                      : "lookup.worst"),
+          cost, acc.ledger()));
+    }
+
+    tensor::Vector q(32);
+    util::Xoshiro256 rng(33);
+    for (auto& x : q) x = static_cast<float>(rng.normal());
+    const util::BitVec qsig = hasher.encode(q);
+    {
+      acc.reset_energy();
+      recsys::OpCost cost;
+      (void)acc.nns(itet, qsig, 100, &cost);
+      out.push_back(charges_of(tag + "nns", cost, acc.ledger()));
+    }
+    {
+      acc.reset_energy();
+      recsys::OpCost cost;
+      (void)acc.nns_topk(itet, qsig, 10, &cost);
+      out.push_back(charges_of(tag + "nns_topk", cost, acc.ledger()));
+    }
+    {
+      std::vector<float> scores(40);
+      for (auto& s : scores) s = static_cast<float>(rng.uniform());
+      acc.reset_energy();
+      recsys::OpCost cost;
+      (void)acc.topk_ctr(scores, 8, &cost);
+      out.push_back(charges_of(tag + "topk_ctr", cost, acc.ledger()));
+    }
+  }
+
+  // Multi-tile layers with partial tiles, then a 1-wide output layer.
+  device::EnergyLedger ledger;
+  util::Xoshiro256 rng(34);
+  nn::Mlp mlp({300, 130, 1}, nn::Activation::kSigmoid, rng);
+  std::vector<tensor::Vector> calib(4, tensor::Vector(300));
+  for (auto& v : calib)
+    for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  const xbar::XbarMlp qmlp(profile, &ledger, mlp, calib);
+  ledger.clear();
+  recsys::OpCost cost;
+  (void)qmlp.infer(calib[0], &cost.latency);
+  cost.energy = ledger.total();
+  out.push_back(charges_of("xbar_mlp.infer", cost, ledger));
+  return out;
+}
+
+// Op counts in device::Component order: cma_ram, cma_search, cma_add,
+// mat_tree, bank_tree, crossbar, rsc_bus, ibc, controller, peripheral.
+const std::vector<Charges> kGoldenCharges = {
+    {"seq.lookup.actual", 119, 30316.400000000001, 30316.400000000001,
+     {2, 0, 15, 2, 2, 0, 5, 2, 8, 11}},
+    {"seq.lookup.worst",
+     273.10000000000002, 31098.900000000001, 31098.900000000001,
+     {32, 0, 15, 2, 2, 0, 5, 2, 4, 11}},
+    {"seq.nns", 1.2, 1395.7, 1395.7,
+     {0, 4, 0, 0, 0, 0, 0, 0, 1, 4}},
+    {"seq.nns_topk", 9.5999999999999996, 11165.600000000002, 11165.6,
+     {0, 32, 0, 0, 0, 0, 0, 0, 8, 32}},
+    {"seq.topk_ctr", 403.60000000000002, 2422.3999999999987, 2422.3999999999987,
+     {40, 8, 0, 0, 0, 0, 1, 0, 2, 1}},
+    {"striped.lookup.actual", 119, 30421.200000000001, 30421.200000000001,
+     {1, 0, 16, 2, 2, 0, 5, 2, 8, 11}},
+    {"striped.lookup.worst",
+     273.10000000000002, 31098.900000000001, 31098.900000000001,
+     {32, 0, 15, 2, 2, 0, 5, 2, 4, 11}},
+    {"striped.nns", 1.2, 1395.7, 1395.7,
+     {0, 4, 0, 0, 0, 0, 0, 0, 1, 4}},
+    {"striped.nns_topk", 9.5999999999999996, 11165.600000000002, 11165.6,
+     {0, 32, 0, 0, 0, 0, 0, 0, 8, 32}},
+    {"striped.topk_ctr",
+     403.60000000000002, 2422.3999999999987, 2422.3999999999987,
+     {40, 8, 0, 0, 0, 0, 1, 0, 2, 1}},
+    {"xbar_mlp.infer", 1561, 669.5, 669.5,
+     {0, 0, 0, 0, 0, 5, 0, 0, 1, 2}},
+};
+
+TEST(AcceleratorCharges, MatchGoldenExactly) {
+  const auto got = measure_charges();
+  std::string measured;
+  for (const auto& c : got) measured += initializer(c) + "\n";
+  ASSERT_EQ(got.size(), kGoldenCharges.size()) << "measured:\n" << measured;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Charges& want = kGoldenCharges[i];
+    const Charges& have = got[i];
+    SCOPED_TRACE(initializer(have));
+    EXPECT_EQ(have.op, want.op);
+    EXPECT_EQ(have.latency_ns, want.latency_ns);
+    EXPECT_EQ(have.energy_pj, want.energy_pj);
+    EXPECT_EQ(have.ledger_pj, want.ledger_pj);
+    EXPECT_EQ(have.ops, want.ops);
+  }
 }
 
 }  // namespace

@@ -151,32 +151,53 @@ TEST(Cma, UnwrittenRowsNeverMatch) {
   EXPECT_TRUE(r.matches.empty());
 }
 
-// Property: TCAM threshold search == brute-force Hamming filter, for random
-// contents, random queries and every threshold in a sweep.
+// Property: TCAM threshold search == a per-bit brute-force reference, for
+// random contents, random don't-care masks, never-written rows, random
+// queries and every threshold in a sweep. The 200-column array (a multiple
+// of 8 but not of 64) covers a partial tail word.
 class CmaSearchProperty : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CmaSearchProperty, MatchesBruteForce) {
   const std::size_t threshold = GetParam();
-  Fixture f;
-  util::Xoshiro256 rng(1000 + threshold);
+  for (const std::size_t cols : {256ul, 200ul}) {
+    SCOPED_TRACE("cols " + std::to_string(cols));
+    DeviceProfile profile = DeviceProfile::fefet45();
+    profile.cma_cols = cols;
+    EnergyLedger ledger;
+    Cma array(profile, &ledger);
+    util::Xoshiro256 rng(1000 + threshold + cols);
 
-  std::vector<BitVec> rows;
-  for (std::size_t r = 0; r < 64; ++r) {
-    rows.push_back(random_row(256, rng));
-    f.array.write_row(r, rows.back());
+    std::vector<BitVec> rows, masks;
+    std::vector<bool> written;
+    for (std::size_t r = 0; r < 64; ++r) {
+      rows.push_back(random_row(cols, rng));
+      masks.push_back(random_row(cols, rng, 0.1));
+      written.push_back(r % 7 != 3);
+      if (written.back()) array.write_row(r, rows.back());
+      for (std::size_t c = 0; c < cols; ++c)
+        if (masks.back().get(c)) array.set_dont_care(r, c, true);
+    }
+    array.set_mode(Mode::kTcam);
+
+    // Query biased toward row 0 so small thresholds sometimes hit.
+    BitVec q = rows[0];
+    for (std::size_t i = 0; i < threshold; ++i) q.flip(rng.below(cols));
+
+    const auto result = array.search(q, threshold);
+    std::vector<std::size_t> expected;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      if (!written[r]) continue;
+      std::size_t mismatches = 0;
+      for (std::size_t c = 0; c < cols; ++c)
+        if (!masks[r].get(c) && rows[r].get(c) != q.get(c)) ++mismatches;
+      if (mismatches <= threshold) expected.push_back(r);
+    }
+    EXPECT_EQ(result.matches, expected);
+    for (std::size_t r = 0; r < array.rows(); ++r)
+      EXPECT_EQ(result.matchlines.get(r),
+                std::binary_search(expected.begin(), expected.end(), r))
+          << "row " << r;
   }
-  f.array.set_mode(Mode::kTcam);
-
-  // Query biased toward row 0 so small thresholds sometimes hit.
-  BitVec q = rows[0];
-  for (std::size_t i = 0; i < threshold; ++i)
-    q.flip(rng.below(256));
-
-  const auto result = f.array.search(q, threshold);
-  std::vector<std::size_t> expected;
-  for (std::size_t r = 0; r < rows.size(); ++r)
-    if (rows[r].hamming(q) <= threshold) expected.push_back(r);
-  EXPECT_EQ(result.matches, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, CmaSearchProperty,
@@ -275,9 +296,56 @@ TEST(Cma, PeekDoesNotCharge) {
   Fixture f;
   f.array.write_row_i8(0, std::vector<std::int8_t>(32, 5));
   const auto before = f.ledger.total().value;
+  const auto ops_before = f.ledger.ops(Component::kCmaAdd);
   (void)f.array.peek_row(0);
-  (void)f.array.peek_row_i8(0);
+  std::vector<std::int32_t> acc(32, 1);
+  f.array.peek_accumulate(0, acc);  // no mode check: the array is in RAM mode
+  EXPECT_EQ(acc, std::vector<std::int32_t>(32, 6));
   EXPECT_DOUBLE_EQ(f.ledger.total().value, before);
+  EXPECT_EQ(f.ledger.ops(Component::kCmaAdd), ops_before);
+}
+
+// Lane paths on a 256-column array and on a 200-column one, whose last
+// word holds a single lane.
+TEST(Cma, LanePathsMatchLaneReference) {
+  for (const std::size_t cols : {256ul, 200ul}) {
+    SCOPED_TRACE("cols " + std::to_string(cols));
+    DeviceProfile profile = DeviceProfile::fefet45();
+    profile.cma_cols = cols;
+    EnergyLedger ledger;
+    Cma array(profile, &ledger);
+    const std::size_t n = cols / 8;
+    util::Xoshiro256 rng(4 + cols);
+    std::vector<std::int8_t> a(n), b(n);
+    for (std::size_t l = 0; l < n; ++l) {
+      a[l] = static_cast<std::int8_t>(static_cast<int>(rng.below(256)) - 128);
+      b[l] = static_cast<std::int8_t>(static_cast<int>(rng.below(256)) - 128);
+    }
+    a[0] = -128;
+    a[n - 1] = 127;
+    array.write_row_i8(9, a);
+    array.write_row_i8(10, b);
+    EXPECT_EQ(array.read_row_i8(9), a);
+
+    std::vector<std::int32_t> peeked(n, -7);
+    array.peek_accumulate(9, peeked);
+    array.set_mode(Mode::kGpcim);
+    std::vector<std::int32_t> charged(n, -7);
+    array.accumulate(9, charged);
+    EXPECT_EQ(peeked, charged);
+    for (std::size_t l = 0; l < n; ++l) EXPECT_EQ(peeked[l], a[l] - 7);
+
+    array.add_rows(9, 9, 10);  // destination aliases a source
+    array.set_mode(Mode::kRam);
+    const auto sum = array.read_row_i8(9);
+    for (std::size_t l = 0; l < n; ++l)
+      EXPECT_EQ(sum[l], util::sat_add_i8(a[l], b[l])) << "lane " << l;
+
+    std::vector<std::int32_t> short_acc(n - 1, 0);
+    EXPECT_THROW(array.peek_accumulate(9, short_acc), Error);
+    EXPECT_THROW(array.peek_accumulate(11, peeked), Error);   // never written
+    EXPECT_THROW(array.peek_accumulate(256, peeked), Error);  // out of range
+  }
 }
 
 }  // namespace

@@ -163,11 +163,54 @@ TEST(BitVec, AndOrDeMorgan) {
 }
 
 TEST(BitVec, ByteRoundTrip) {
-  BitVec v(256);
-  for (int x : {0, 1, 127, 128, 200, 255}) {
-    v.set_byte(8, static_cast<std::uint8_t>(x));
-    EXPECT_EQ(v.byte_at(8), static_cast<std::uint8_t>(x));
+  // Every offset, word-straddling ones (e.g. 60) included, against a
+  // reference built from get(); set_byte must leave the other bits alone.
+  const std::size_t nbits = 200;
+  util::Xoshiro256 rng(11);
+  BitVec v(nbits);
+  for (std::size_t i = 0; i < nbits; ++i) v.set(i, rng.bernoulli(0.5));
+  for (std::size_t begin = 0; begin + 8 <= nbits; ++begin) {
+    std::uint8_t expected = 0;
+    for (std::size_t b = 0; b < 8; ++b)
+      if (v.get(begin + b)) expected |= static_cast<std::uint8_t>(1u << b);
+    EXPECT_EQ(v.byte_at(begin), expected) << "offset " << begin;
+
+    for (int x : {0, 1, 127, 128, 200, 255}) {
+      BitVec w = v;
+      w.set_byte(begin, static_cast<std::uint8_t>(x));
+      EXPECT_EQ(w.byte_at(begin), static_cast<std::uint8_t>(x));
+      for (std::size_t i = 0; i < nbits; ++i) {
+        const bool want = (i >= begin && i < begin + 8)
+                              ? ((x >> (i - begin)) & 1) != 0
+                              : v.get(i);
+        ASSERT_EQ(w.get(i), want) << "offset " << begin << " bit " << i;
+      }
+    }
   }
+}
+
+TEST(BitVec, CopyFromMatchesBitwiseReference) {
+  util::Xoshiro256 rng(12);
+  BitVec src(300);
+  for (std::size_t i = 0; i < src.size(); ++i) src.set(i, rng.bernoulli(0.5));
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t len = rng.below(200);
+    const std::size_t src_begin = rng.below(src.size() - len + 1);
+    BitVec dst(260);
+    for (std::size_t i = 0; i < dst.size(); ++i)
+      dst.set(i, rng.bernoulli(0.5));
+    const std::size_t dst_begin = rng.below(dst.size() - len + 1);
+    BitVec expected = dst;
+    for (std::size_t i = 0; i < len; ++i)
+      expected.set(dst_begin + i, src.get(src_begin + i));
+    dst.copy_from(src, src_begin, len, dst_begin);
+    ASSERT_EQ(dst, expected) << "len " << len << " src " << src_begin
+                             << " dst " << dst_begin;
+  }
+  // A self-copy reads the source range before overwriting it.
+  BitVec self = BitVec::from_string("1100101100");
+  self.copy_from(self, 0, 8, 2);
+  EXPECT_EQ(self.to_string(), "1111001011");
 }
 
 TEST(BitVec, SliceAndCopyFrom) {

@@ -46,18 +46,81 @@ TEST(Crossbar, GemvMatchesIntegerOracle) {
 
   std::vector<std::int8_t> in(256, 0);
   for (std::size_t i = 0; i < 100; ++i)
-    in[i] = static_cast<std::int8_t>(static_cast<int>(rng.below(200)) - 100);
+    in[i] = static_cast<std::int8_t>(static_cast<int>(rng.below(256)) - 128);
+  in[0] = -128;
+  in[1] = 127;
 
   device::Ns lat{0.0};
   const auto out = xb.gemv(in, &lat);
   EXPECT_DOUBLE_EQ(lat.value, 225.0);
 
-  for (std::size_t o = 0; o < 64; ++o) {
+  // Every tile column: the 64 programmed ones match the oracle, the
+  // padding columns read 0.
+  ASSERT_EQ(out.size(), xb.cols());
+  for (std::size_t o = 0; o < xb.cols(); ++o) {
     std::int32_t acc = 0;
-    for (std::size_t i = 0; i < 100; ++i)
-      acc += static_cast<std::int32_t>(wq.at(o, i)) * in[i];
+    if (o < 64)
+      for (std::size_t i = 0; i < 100; ++i)
+        acc += static_cast<std::int32_t>(wq.at(o, i)) * in[i];
     EXPECT_EQ(out[o], acc) << "output " << o;
   }
+}
+
+TEST(Crossbar, GemvAtInt8Extremes) {
+  Fixture f;
+  xbar::Crossbar xb(f.profile, &f.ledger);
+  // Full tile of -128 weights driven by -128 inputs: the largest magnitude
+  // a tile column can reach, 256 * 16384.
+  QMatrix tile(256, 128, util::QuantParams{1.0f});
+  for (std::size_t r = 0; r < 256; ++r)
+    for (std::size_t c = 0; c < 128; ++c)
+      tile.at(r, c) = static_cast<std::int8_t>(c % 2 == 0 ? -128 : 127);
+  xb.load_weights(tile);
+  const auto out = xb.gemv(std::vector<std::int8_t>(256, -128), nullptr);
+  for (std::size_t c = 0; c < 128; ++c)
+    EXPECT_EQ(out[c], c % 2 == 0 ? 256 * 16384 : 256 * -16256) << c;
+}
+
+TEST(Crossbar, UnprogrammedRowsContributeNothing) {
+  Fixture f;
+  xbar::Crossbar xb(f.profile, &f.ledger);
+  QMatrix block(3, 5, util::QuantParams{1.0f});
+  for (std::size_t r = 0; r < 3; ++r)
+    for (std::size_t c = 0; c < 5; ++c)
+      block.at(r, c) = static_cast<std::int8_t>(r * 5 + c + 1);
+  xb.load_weights(block);
+  std::vector<std::int8_t> in(256, 127);  // rows 3.. are driven but unused
+  in[0] = 1;
+  in[1] = -1;
+  in[2] = 2;
+  const auto out = xb.gemv(in, nullptr);
+  for (std::size_t c = 0; c < xb.cols(); ++c) {
+    const std::int32_t want =
+        c < 5 ? block.at(0, c) - block.at(1, c) + 2 * block.at(2, c) : 0;
+    EXPECT_EQ(out[c], want) << "output " << c;
+  }
+  EXPECT_EQ(xb.weight(3, 0), 0);
+  EXPECT_EQ(xb.weight(0, 5), 0);
+}
+
+TEST(Crossbar, ReloadingSmallerBlockClearsOldWeights) {
+  Fixture f;
+  xbar::Crossbar xb(f.profile, &f.ledger);
+  QMatrix big(256, 128, util::QuantParams{1.0f});
+  for (std::size_t r = 0; r < 256; ++r)
+    for (std::size_t c = 0; c < 128; ++c) big.at(r, c) = 7;
+  xb.load_weights(big);
+  QMatrix small(2, 3, util::QuantParams{1.0f});
+  for (std::size_t r = 0; r < 2; ++r)
+    for (std::size_t c = 0; c < 3; ++c) small.at(r, c) = -1;
+  xb.load_weights(small);
+
+  const auto out = xb.gemv(std::vector<std::int8_t>(256, 1), nullptr);
+  for (std::size_t c = 0; c < xb.cols(); ++c)
+    EXPECT_EQ(out[c], c < 3 ? -2 : 0) << "output " << c;
+  for (std::size_t r = 0; r < 256; ++r)
+    for (std::size_t c = 0; c < 128; ++c)
+      ASSERT_EQ(xb.weight(r, c), (r < 2 && c < 3) ? -1 : 0) << r << "," << c;
 }
 
 TEST(Crossbar, LoadRejectsOversizedBlock) {
