@@ -4,8 +4,11 @@
 // reference on the same inputs; any mismatch exits nonzero.
 //
 // Kernels: TCAM threshold search over a full 256x256 array, 32 GPCiM
-// accumulates, full-tile and partial-tile crossbar gemv, and a pooled
-// 32-row ImarsAccelerator::lookup_pooled.
+// accumulates, full-tile and partial-tile crossbar gemv, a pooled 32-row
+// ImarsAccelerator::lookup_pooled, one ranking-DNN inference that updates
+// only the 32 item lanes of a prepared input (checked against a full
+// XbarMlp::infer), and a 20-candidate CTR-buffer top-k over a buffer a
+// 256-candidate pass left full (checked against a sort).
 //
 // Emits BENCH_kernels.json (bench/harness.hpp JsonReport): one record per
 // kernel with its median ns/op over several timed batches.
@@ -16,16 +19,19 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "cma/cma.hpp"
 #include "core/accelerator.hpp"
 #include "harness.hpp"
+#include "nn/mlp.hpp"
 #include "tensor/qtensor.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
 #include "xbar/crossbar.hpp"
+#include "xbar/xbar_mlp.hpp"
 
 using namespace imars;
 
@@ -173,6 +179,67 @@ Kernel bench_lookup(const device::DeviceProfile& profile) {
           20000};
 }
 
+// The paper's ranking DNN (228 -> 128 -> 1): 5 pooled feature segments,
+// the 32-lane item segment at lane 160, the history segment, 4 dense lanes.
+Kernel bench_item_update(const device::DeviceProfile& profile,
+                         device::EnergyLedger* ledger) {
+  util::Xoshiro256 rng(7);
+  const nn::Mlp mlp({228, 128, 1}, nn::Activation::kSigmoid, rng);
+  auto random_input = [&rng] {
+    tensor::Vector v(228);
+    for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+    return v;
+  };
+  std::vector<tensor::Vector> calib;
+  for (int i = 0; i < 4; ++i) calib.push_back(random_input());
+  auto dnn = std::make_shared<xbar::XbarMlp>(profile, ledger, mlp, calib);
+  constexpr std::size_t kItemLo = 160;
+  constexpr std::size_t kItemLen = 32;
+  tensor::Vector x = random_input();
+  auto prepared = std::make_shared<xbar::XbarMlp::PreparedInput>(
+      dnn->prepare(x, kItemLo, kItemLen));
+  const tensor::Vector item(x.begin() + kItemLo,
+                            x.begin() + kItemLo + kItemLen);
+
+  device::Ns full_lat{0.0}, item_lat{0.0};
+  const auto full = dnn->infer(x, &full_lat);
+  const auto got = dnn->infer(*prepared, item, &item_lat);
+  return {"xbar_infer_item_update",
+          got == full && item_lat.value == full_lat.value,
+          [dnn, prepared, item] {
+            g_sink += static_cast<std::uint64_t>(
+                dnn->infer(*prepared, item, nullptr)[0] * 1e6f);
+          },
+          20000};
+}
+
+Kernel bench_topk_after_full(const device::DeviceProfile& profile) {
+  auto acc = std::make_shared<core::ImarsAccelerator>(core::ArchConfig{},
+                                                      profile);
+  util::Xoshiro256 rng(8);
+  std::vector<float> full(256);
+  for (auto& s : full) s = static_cast<float>(rng.uniform());
+  (void)acc->topk_ctr(full, 20, nullptr);  // leaves 256 rows in the buffer
+
+  constexpr std::size_t kTop = 5;
+  std::vector<float> scores(20);
+  for (auto& s : scores) s = static_cast<float>(rng.uniform());
+  std::vector<std::size_t> expected(scores.size());
+  std::iota(expected.begin(), expected.end(), 0);
+  std::sort(expected.begin(), expected.end(),
+            [&](std::size_t a, std::size_t b) {
+              if (scores[a] != scores[b]) return scores[a] > scores[b];
+              return a < b;
+            });
+  expected.resize(kTop);
+  return {"topk_ctr_20_after_256",
+          acc->topk_ctr(scores, kTop, nullptr) == expected,
+          [acc, scores] {
+            g_sink += acc->topk_ctr(scores, kTop, nullptr)[0];
+          },
+          20000};
+}
+
 }  // namespace
 
 int main() {
@@ -189,6 +256,8 @@ int main() {
   kernels.push_back(bench_gemv("xbar_gemv_partial_128x1", profile, &ledger,
                                128, 1, 5));
   kernels.push_back(bench_lookup(profile));
+  kernels.push_back(bench_item_update(profile, &ledger));
+  kernels.push_back(bench_topk_after_full(profile));
 
   bench::JsonReport json("kernels");
   bool ok = true;

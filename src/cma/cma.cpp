@@ -127,8 +127,8 @@ void Cma::set_dont_care(std::size_t row, std::size_t col, bool dont_care) {
   ledger_->charge(Component::kCmaRam, profile_->cma_write.energy);
 }
 
-SearchResult Cma::search(const util::BitVec& query,
-                         std::size_t threshold) const {
+SearchResult Cma::search(const util::BitVec& query, std::size_t threshold,
+                         std::size_t live_rows) const {
   require_mode(Mode::kTcam, "search");
   IMARS_REQUIRE(query.size() == cols_, "Cma::search: query width mismatch");
 
@@ -138,7 +138,8 @@ SearchResult Cma::search(const util::BitVec& query,
   // regardless of row count (O(1) search, Sec II-B).
   ledger_->charge(Component::kCmaSearch, profile_->cma_search.energy);
   const std::uint64_t* q = query.words().data();
-  for (std::size_t r = 0; r < rows_; ++r) {
+  const std::size_t live = std::min(rows_, live_rows);
+  for (std::size_t r = 0; r < live; ++r) {
     if (!valid_[r]) continue;
     // Mismatch current only flows through cells that are binary (not X) and
     // differ from the query bit. Tail bits past cols_ are zero in both the

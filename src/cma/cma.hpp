@@ -89,8 +89,12 @@ class Cma {
 
   /// Threshold search: returns all valid rows with Hamming distance
   /// <= threshold from `query` (don't-care cells never mismatch).
-  /// Requires TCAM mode. Invalid (never-written) rows do not match.
-  SearchResult search(const util::BitVec& query, std::size_t threshold) const;
+  /// Requires TCAM mode. Invalid (never-written) rows do not match, and
+  /// neither do rows at or past `live_rows`: the row-valid bits at the
+  /// priority encoder, for arrays whose leading rows hold the current
+  /// contents and later rows are stale. One search charge either way.
+  SearchResult search(const util::BitVec& query, std::size_t threshold,
+                      std::size_t live_rows = SIZE_MAX) const;
 
   /// Priority encoder over the last search: lowest matching row index.
   static std::optional<std::size_t> first_match(const SearchResult& r);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numeric>
 
 #include "core/calibration.hpp"
@@ -150,45 +149,75 @@ std::size_t ImarsAccelerator::load_itet(
   return id;
 }
 
-PooledResult ImarsAccelerator::bank_lookup(BankState& b,
-                                           const LookupRequest& req,
-                                           TimingMode mode,
-                                           device::Ns* latency) {
-  IMARS_REQUIRE(!req.indices.empty(), "ImarsAccelerator: empty lookup");
-  for (auto idx : req.indices)
-    IMARS_REQUIRE(idx < b.rows, "ImarsAccelerator: lookup index " +
-                                    std::to_string(idx) + " out of range for '" +
-                                    b.name + "' (" + std::to_string(b.rows) +
-                                    " rows)");
+PreparedLookup ImarsAccelerator::prepare_lookup(
+    std::span<const LookupRequest> reqs, TimingMode mode) const {
+  IMARS_REQUIRE(!reqs.empty(), "ImarsAccelerator: no lookup requests");
+  PreparedLookup out;
+  out.mode_ = mode;
+  out.banks_.reserve(reqs.size());
+  out.results_.reserve(reqs.size());
+  std::vector<std::size_t> cmas;  // physical CMA of each index, sorted
+  for (const auto& req : reqs) {
+    const BankState& b = bank(req.table_id);
+    IMARS_REQUIRE(!req.indices.empty(), "ImarsAccelerator: empty lookup");
+    for (auto idx : req.indices)
+      IMARS_REQUIRE(idx < b.rows, "ImarsAccelerator: lookup index " +
+                                      std::to_string(idx) +
+                                      " out of range for '" + b.name + "' (" +
+                                      std::to_string(b.rows) + " rows)");
 
-  // ---- Functional pooling: sum int8 lanes of all requested rows. --------
-  PooledResult result;
-  result.scale = b.scale;
-  result.count = req.indices.size();
-  result.mean_pool = req.mean_pool;
-  result.lanes.assign(arch_.emb_dim, 0);
+    // ---- Functional pooling: sum int8 lanes of all requested rows. ------
+    PooledResult result;
+    result.scale = b.scale;
+    result.count = req.indices.size();
+    result.mean_pool = req.mean_pool;
+    result.lanes.assign(arch_.emb_dim, 0);
+    const std::size_t n_cmas = b.data_cmas.size();
+    cmas.clear();
+    for (auto idx : req.indices) {
+      const std::size_t c = cma_of(b.placement, idx, n_cmas, arch_.cma_rows);
+      b.data_cmas[c].peek_accumulate(
+          local_of(b.placement, idx, n_cmas, arch_.cma_rows), result.lanes);
+      cmas.push_back(c);
+    }
+    out.results_.push_back(std::move(result));
 
-  // Group by physical CMA to model serialization.
-  const std::size_t n_cmas = b.data_cmas.size();
-  std::map<std::size_t, std::vector<std::size_t>> by_cma;
-  for (auto idx : req.indices) {
-    by_cma[cma_of(b.placement, idx, n_cmas, arch_.cma_rows)].push_back(
-        local_of(b.placement, idx, n_cmas, arch_.cma_rows));
+    // ---- Access pattern: rows per physical CMA (ascending CMA id; the
+    // groups serialize within an array) and the contributing mats. --------
+    std::sort(cmas.begin(), cmas.end());
+    PreparedLookup::BankAccess access;
+    access.table_id = req.table_id;
+    access.indices = req.indices.size();
+    access.group_lo = out.group_rows_.size();
+    std::size_t mats = 0;
+    for (std::size_t i = 0; i < cmas.size();) {
+      std::size_t j = i + 1;
+      while (j < cmas.size() && cmas[j] == cmas[i]) ++j;
+      out.group_rows_.push_back(j - i);
+      if (i == 0 || cmas[i] / arch_.cmas_per_mat !=
+                        cmas[i - 1] / arch_.cmas_per_mat)
+        ++mats;
+      i = j;
+    }
+    access.group_hi = out.group_rows_.size();
+    // Worst case: one array -> one mat.
+    if (mode == TimingMode::kActualPlacement) access.mats = mats;
+    out.banks_.push_back(access);
+    out.total_indices_ += req.indices.size();
   }
+  return out;
+}
 
-  for (const auto& [cma_id, rows] : by_cma) {
-    const auto& arr = b.data_cmas[cma_id];
-    for (auto r : rows) arr.peek_accumulate(r, result.lanes);
-  }
-
-  // ---- Accounting. -------------------------------------------------------
+Ns ImarsAccelerator::charge_bank(const PreparedLookup& lookup,
+                                 const PreparedLookup::BankAccess& access) {
+  const BankState& b = bank(access.table_id);
   const auto& p = profile_;
   Ns array_phase{0.0};
 
-  if (mode == TimingMode::kWorstCaseSameArray) {
+  if (lookup.mode_ == TimingMode::kWorstCaseSameArray) {
     // Paper model (Sec IV-C1): all L lookups collide in one array and
     // serialize as read + (L-1) x (read + write + add).
-    const std::size_t L = req.indices.size();
+    const std::size_t L = access.indices;
     ledger_.charge(Component::kCmaRam,
                    p.cma_read.energy * static_cast<double>(L), L);
     if (L > 1) {
@@ -206,37 +235,23 @@ PooledResult ImarsAccelerator::bank_lookup(BankState& b,
     // Actual placement: groups in different CMAs run in parallel; within a
     // CMA a single row is a RAM read, multiple rows run through the GPCiM
     // accumulator (one add per row).
-    for (const auto& [cma_id, rows] : by_cma) {
-      (void)cma_id;
+    for (std::size_t g = access.group_lo; g < access.group_hi; ++g) {
+      const std::size_t rows = lookup.group_rows_[g];
       Ns group{0.0};
-      if (rows.size() == 1) {
+      if (rows == 1) {
         ledger_.charge(Component::kCmaRam, p.cma_read.energy);
         group = p.cma_read.latency;
       } else {
         ledger_.charge(Component::kCmaAdd,
-                       p.cma_add.energy * static_cast<double>(rows.size()),
-                       rows.size());
-        group = p.cma_add.latency * static_cast<double>(rows.size());
+                       p.cma_add.energy * static_cast<double>(rows), rows);
+        group = p.cma_add.latency * static_cast<double>(rows);
       }
       // Mode reconfiguration of the group's array.
       ledger_.charge(Component::kController, p.controller_energy);
       array_phase = device::max(array_phase, group);
     }
   }
-
-  // Contributing mats (worst case: one array -> one mat).
-  std::size_t mats = 1;
-  if (mode == TimingMode::kActualPlacement) {
-    std::vector<std::size_t> mat_ids;
-    for (const auto& [cma_id, rows] : by_cma) {
-      (void)rows;
-      mat_ids.push_back(cma_id / arch_.cmas_per_mat);
-    }
-    std::sort(mat_ids.begin(), mat_ids.end());
-    mats = static_cast<std::size_t>(
-        std::distance(mat_ids.begin(),
-                      std::unique(mat_ids.begin(), mat_ids.end())));
-  }
+  const std::size_t mats = access.mats;
 
   // Intra-mat trees run in parallel across mats: one pass.
   Ns tree_lat{0.0};
@@ -273,41 +288,38 @@ PooledResult ImarsAccelerator::bank_lookup(BankState& b,
                  Pj{kPeripheralPjPerActiveCmaPerOp * static_cast<double>(active)},
                  active);
 
-  if (latency != nullptr)
-    *latency = array_phase + tree_lat + ibc_lat + bank_tree_lat;
-  return result;
+  return array_phase + tree_lat + ibc_lat + bank_tree_lat;
 }
 
 std::vector<PooledResult> ImarsAccelerator::lookup_pooled(
     std::span<const LookupRequest> reqs, TimingMode mode,
     recsys::OpCost* cost) {
-  IMARS_REQUIRE(!reqs.empty(), "ImarsAccelerator: no lookup requests");
+  PreparedLookup lookup = prepare_lookup(reqs, mode);
+  charge_lookup(lookup, cost);
+  return std::move(lookup.results_);
+}
+
+void ImarsAccelerator::charge_lookup(const PreparedLookup& lookup,
+                                     recsys::OpCost* cost) {
   // Capture (not a total() delta): the measured energy must not depend on
   // what the ledger accumulated before this call — see EnergyLedger.
   device::ScopedEnergyCapture capture(ledger_);
 
-  std::vector<PooledResult> out;
-  out.reserve(reqs.size());
   Ns slowest_bank{0.0};
-  std::size_t total_indices = 0;
-  for (const auto& req : reqs) {
-    Ns bank_lat{0.0};
-    out.push_back(bank_lookup(bank(req.table_id), req, mode, &bank_lat));
-    slowest_bank = device::max(slowest_bank, bank_lat);
-    total_indices += req.indices.size();
-  }
+  for (const auto& access : lookup.banks_)
+    slowest_bank = device::max(slowest_bank, charge_bank(lookup, access));
 
   // RSC traffic: index distribution in, one 256-bit pooled vector out per
   // bank; serialized on the shared bus.
-  Ns comm = rsc_.transfer(total_indices * 4);
-  for (std::size_t i = 0; i < reqs.size(); ++i) comm += rsc_.transfer(32);
+  Ns comm = rsc_.transfer(lookup.total_indices_ * 4);
+  for (std::size_t i = 0; i < lookup.banks_.size(); ++i)
+    comm += rsc_.transfer(32);
 
   const Pj captured = capture.take();
   if (cost != nullptr) {
     cost->latency += slowest_bank + comm;
     cost->energy += captured;
   }
-  return out;
 }
 
 PooledResult ImarsAccelerator::read_row(std::size_t table_id, std::size_t row,
@@ -483,18 +495,15 @@ std::vector<std::size_t> ImarsAccelerator::topk_ctr(
   std::vector<std::size_t> matched;
   while (lo < hi) {
     const std::size_t mid = (lo + hi) / 2;
-    const auto r = ctr_buffer_->search(all_ones, mid);
-    search_lat += r.latency;
     // Row-valid bits at the priority encoder: the buffer persists across
     // queries, so rows at positions >= this query's candidate count are
     // stale leftovers of a previous (larger) ranking pass and must not
-    // drain into the result — without the filter their matchlines alias
-    // other items' scores.
-    std::vector<std::size_t> live;
-    for (std::size_t pos : r.matches)
-      if (pos < scores.size()) live.push_back(pos);
-    if (live.size() >= k) {
-      matched = std::move(live);
+    // drain into the result — their matchlines would alias other items'
+    // scores.
+    auto r = ctr_buffer_->search(all_ones, mid, scores.size());
+    search_lat += r.latency;
+    if (r.matches.size() >= k) {
+      matched = std::move(r.matches);
       hi = mid;
     } else {
       lo = mid + 1;

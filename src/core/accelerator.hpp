@@ -55,6 +55,32 @@ enum class TimingMode {
   kWorstCaseSameArray, ///< paper's model: all of a table's lookups collide
 };
 
+/// Pooled lookups resolved once (see ImarsAccelerator::prepare_lookup): the
+/// functional results plus the access pattern their charges follow.
+class PreparedLookup {
+ public:
+  const std::vector<PooledResult>& results() const noexcept {
+    return results_;
+  }
+
+ private:
+  friend class ImarsAccelerator;
+  /// One request's bank access: rows per touched CMA live in
+  /// group_rows_[group_lo, group_hi), in ascending CMA order.
+  struct BankAccess {
+    std::size_t table_id = 0;
+    std::size_t indices = 0;
+    std::size_t group_lo = 0;
+    std::size_t group_hi = 0;
+    std::size_t mats = 1;  ///< contributing mats
+  };
+  TimingMode mode_ = TimingMode::kActualPlacement;
+  std::vector<BankAccess> banks_;
+  std::vector<std::size_t> group_rows_;
+  std::size_t total_indices_ = 0;
+  std::vector<PooledResult> results_;
+};
+
 /// The iMARS accelerator fabric.
 class ImarsAccelerator {
  public:
@@ -98,6 +124,16 @@ class ImarsAccelerator {
                                           TimingMode mode,
                                           recsys::OpCost* cost);
 
+  /// lookup_pooled split in two: validates and pools `reqs` (functional
+  /// only, charges nothing) and keeps the access pattern. Each
+  /// charge_lookup() of the result then charges one run of the lookups —
+  /// the charges (same order), latency and captured energy that
+  /// lookup_pooled(reqs, mode, cost) adds. The ranking stage runs the
+  /// same lookups once per candidate; the host pools them once.
+  PreparedLookup prepare_lookup(std::span<const LookupRequest> reqs,
+                                TimingMode mode) const;
+  void charge_lookup(const PreparedLookup& lookup, recsys::OpCost* cost);
+
   /// Reads one embedding row (RAM mode; used by the ranking stage item
   /// fetch). Adds into `cost` when non-null.
   PooledResult read_row(std::size_t table_id, std::size_t row,
@@ -140,10 +176,10 @@ class ImarsAccelerator {
   BankState& bank(std::size_t table_id);
   const BankState& bank(std::size_t table_id) const;
 
-  /// Lookup+pool within one bank; returns pooled lanes and the bank-local
-  /// latency (parallel mats, serialized accumulation).
-  PooledResult bank_lookup(BankState& b, const LookupRequest& req,
-                           TimingMode mode, device::Ns* latency);
+  /// Charges one bank's lookup+pool; returns its bank-local latency
+  /// (parallel mats, serialized accumulation).
+  device::Ns charge_bank(const PreparedLookup& lookup,
+                         const PreparedLookup::BankAccess& access);
 
   ArchConfig arch_;
   // Owned copy: callers may pass a temporary profile (value semantics keep

@@ -139,13 +139,35 @@ std::vector<ScoredItem> ImarsBackend::rank(
   // (2b) Per candidate, the ranking embeddings are retrieved from the rank
   // UIETs and the ItET (Sec III-C; Table III's ranking ET lookup is "for
   // one item input", i.e. the full lookup repeats for every candidate).
+  // The modeled hardware repeats it; the host pools once and charges every
+  // repeat.
   std::vector<LookupRequest> reqs;
   for (auto f : model_->rank_features())
     reqs.push_back({uiet_ids_[f], user.sparse[f], /*mean_pool=*/true});
   if (!user.history.empty())
     reqs.push_back({itet_id_, user.history, /*mean_pool=*/true});
+  const PreparedLookup lookup = acc_->prepare_lookup(reqs, cfg_.timing);
 
+  // The ranking DNN input is candidate-invariant except for the item
+  // segment: [rank features | item | history | dense].
+  const std::size_t emb_dim = model_->config().emb_dim;
   const std::size_t n_rank_features = model_->rank_features().size();
+  tensor::Vector in;
+  in.reserve(model_->rank_input_dim());
+  for (std::size_t i = 0; i < n_rank_features; ++i) {
+    const auto seg = lookup.results()[i].dequantized();
+    in.insert(in.end(), seg.begin(), seg.end());
+  }
+  const std::size_t item_lo = in.size();
+  in.insert(in.end(), emb_dim, 0.0f);
+  if (!user.history.empty()) {
+    const auto hist = lookup.results().back().dequantized();
+    in.insert(in.end(), hist.begin(), hist.end());
+  } else {
+    in.insert(in.end(), emb_dim, 0.0f);
+  }
+  in.insert(in.end(), user.dense.begin(), user.dense.end());
+  const auto prepared = rank_dnn_->prepare(in, item_lo, emb_dim);
 
   // (2b..2d) Per candidate: ET lookups + item-embedding fetch + crossbar
   // ranking DNN; candidates serialize through the fabric.
@@ -154,34 +176,14 @@ std::vector<ScoredItem> ImarsBackend::rank(
   OpCost et_cost;
   OpCost rank_dnn_cost;
   for (auto item : candidates) {
-    const auto pooled = acc_->lookup_pooled(reqs, cfg_.timing, &et_cost);
-    std::vector<tensor::Vector> feature_segments;
-    feature_segments.reserve(n_rank_features);
-    for (std::size_t i = 0; i < n_rank_features; ++i)
-      feature_segments.push_back(pooled[i].dequantized());
-    tensor::Vector history_segment;
-    if (!user.history.empty()) {
-      history_segment = pooled.back().dequantized();
-    } else {
-      history_segment.assign(model_->config().emb_dim, 0.0f);
-    }
-
+    acc_->charge_lookup(lookup, &et_cost);
     OpCost fetch;
     const auto item_row = acc_->read_row(itet_id_, item, &fetch);
     et_cost += fetch;
 
-    tensor::Vector in;
-    in.reserve(model_->rank_input_dim());
-    for (const auto& seg : feature_segments)
-      in.insert(in.end(), seg.begin(), seg.end());
-    const auto item_v = item_row.dequantized();
-    in.insert(in.end(), item_v.begin(), item_v.end());
-    in.insert(in.end(), history_segment.begin(), history_segment.end());
-    in.insert(in.end(), user.dense.begin(), user.dense.end());
-
     device::ScopedEnergyCapture capture(acc_->ledger());
     Ns lat{0.0};
-    const auto out = rank_dnn_->infer(in, &lat);
+    const auto out = rank_dnn_->infer(prepared, item_row.dequantized(), &lat);
     rank_dnn_cost += OpCost{lat, capture.take()};
     scores.push_back(out[0]);
   }

@@ -413,8 +413,9 @@ void FunnelServable::accesses_into(std::size_t stage, const Request& req,
   }
   if (stage == s_filter_) return;  // signature sweep: no ET rows
   if (stage == s_rank_) {
-    // The backend re-runs the pooled rank lookups once per candidate
-    // (Table III prices the ranking lookup per item input).
+    // The modeled hardware re-runs the pooled rank lookups once per
+    // candidate (Table III prices the ranking lookup per item input); the
+    // simulator pools once and charges every repeat.
     for (std::size_t item : slice) {
       append_pooled_pass(user, traffic_.rank_features, out);
       out.push_back({kItetTable, static_cast<std::uint32_t>(item), false});

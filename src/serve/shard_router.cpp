@@ -142,8 +142,9 @@ std::vector<RowAccess> ShardRouter::filter_accesses(
 std::vector<RowAccess> ShardRouter::rank_accesses(
     const recsys::UserContext& user,
     std::span<const std::size_t> slice) const {
-  // The backend re-runs the pooled rank lookups once per candidate item
-  // (backend.cpp (2b)); mirror that so the adjustment matches the measured
+  // The modeled hardware re-runs the pooled rank lookups once per candidate
+  // item (backend.cpp (2b): the simulator pools once and charges every
+  // repeat); mirror that so the adjustment matches the measured
   // per-candidate ET cost.
   std::vector<RowAccess> out;
   for (std::size_t item : slice) {

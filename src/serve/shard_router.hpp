@@ -124,8 +124,8 @@ class ShardRouter final : public ServableBackend {
   std::vector<RowAccess> filter_accesses(const recsys::UserContext& user) const;
 
   /// ET rows one shard's rank pass touches: per candidate in the slice, the
-  /// rank-feature sparse rows + history (the backend re-pools them for
-  /// every item) plus the candidate's own ItET row fetch.
+  /// rank-feature sparse rows + history (the modeled hardware re-pools
+  /// them for every item) plus the candidate's own ItET row fetch.
   std::vector<RowAccess> rank_accesses(
       const recsys::UserContext& user,
       std::span<const std::size_t> slice) const;

@@ -44,23 +44,41 @@ std::vector<std::int32_t> Crossbar::gemv(std::span<const std::int8_t> in,
                                          device::Ns* latency) const {
   IMARS_REQUIRE(in.size() == rows_, "Crossbar::gemv: input size mismatch");
   std::vector<std::int32_t> out(cols_, 0);
-  // Cells outside the programmed block are 0: only the block contributes.
-  // Inputs of the block's rows, widened and zero-padded to stride_.
-  std::vector<std::int16_t> x(stride_, 0);
-  std::copy(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(block_rows_),
-            x.begin());
+  accumulate(in, 0, out);
+  charge(latency);
+  return out;
+}
+
+void Crossbar::accumulate(std::span<const std::int8_t> in, std::size_t lo,
+                          std::span<std::int32_t> out) const {
+  IMARS_REQUIRE(lo + in.size() <= rows_,
+                "Crossbar::accumulate: window past the tile");
+  IMARS_REQUIRE(out.size() >= block_cols_,
+                "Crossbar::accumulate: output narrower than the block");
+  // Cells outside the programmed block are 0: only its rows contribute.
+  const std::size_t hi = std::min(lo + in.size(), block_rows_);
+  if (lo >= hi) return;
+  // The window's inputs, widened and zero-padded to whole row chunks
+  // (chunk-aligned, so the padded range stays inside stride_).
+  const std::size_t r_lo = lo / kRowChunk * kRowChunk;
+  const std::size_t r_hi = (hi + kRowChunk - 1) / kRowChunk * kRowChunk;
+  std::vector<std::int16_t> x(r_hi - r_lo, 0);
+  std::copy(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(hi - lo),
+            x.begin() + static_cast<std::ptrdiff_t>(lo - r_lo));
   for (std::size_t c = 0; c < block_cols_; ++c) {
-    const std::int16_t* wc = &w_[c * stride_];
+    const std::int16_t* wc = &w_[c * stride_ + r_lo];
     std::int32_t acc = 0;
-    for (std::size_t r0 = 0; r0 < stride_; r0 += kRowChunk)
+    for (std::size_t r0 = 0; r0 < x.size(); r0 += kRowChunk)
       for (std::size_t k = 0; k < kRowChunk; ++k)
         acc += static_cast<std::int32_t>(wc[r0 + k]) *
                static_cast<std::int32_t>(x[r0 + k]);
-    out[c] = acc;
+    out[c] += acc;
   }
+}
+
+void Crossbar::charge(device::Ns* latency) const {
   ledger_->charge(Component::kCrossbar, profile_->xbar_matmul.energy);
   if (latency != nullptr) *latency = profile_->xbar_matmul.latency;
-  return out;
 }
 
 std::int8_t Crossbar::weight(std::size_t r, std::size_t c) const {
@@ -106,27 +124,42 @@ TiledMatVec::TiledMatVec(const device::DeviceProfile& profile,
 std::vector<std::int32_t> TiledMatVec::gemv(std::span<const std::int8_t> in,
                                             device::Ns* latency) const {
   IMARS_REQUIRE(in.size() == in_dim_, "TiledMatVec::gemv: input size");
+  std::vector<std::int32_t> out(out_dim_, 0);
+  accumulate(in, 0, out);
+  charge(latency);
+  return out;
+}
+
+void TiledMatVec::accumulate(std::span<const std::int8_t> in, std::size_t lo,
+                             std::span<std::int32_t> out) const {
+  IMARS_REQUIRE(lo + in.size() <= in_dim_,
+                "TiledMatVec::accumulate: window past the input");
+  IMARS_REQUIRE(out.size() == out_dim_, "TiledMatVec::accumulate: output size");
   const std::size_t tr = profile_->xbar_rows;
   const std::size_t tc = profile_->xbar_cols;
-
-  std::vector<std::int32_t> out(out_dim_, 0);
-  Ns tile_latency{0.0};
-  for (std::size_t i = 0; i < row_tiles_; ++i) {
-    // Zero-padded tile input slice.
-    std::vector<std::int8_t> slice(tr, 0);
-    const std::size_t in_lo = i * tr;
-    const std::size_t in_hi = std::min(in_dim_, in_lo + tr);
-    for (std::size_t r = in_lo; r < in_hi; ++r) slice[r - in_lo] = in[r];
-
+  const std::size_t hi = lo + in.size();
+  // Row tiles the window overlaps; each sees its slice of the window at a
+  // tile-local row offset. Rows past in_dim_ in the last tile are zero
+  // padding and contribute nothing.
+  for (std::size_t i = lo / tr; i * tr < hi; ++i) {
+    const std::size_t a = std::max(lo, i * tr);
+    const std::size_t b = std::min(hi, (i + 1) * tr);
+    const auto slice = in.subspan(a - lo, b - a);
     for (std::size_t j = 0; j < col_tiles_; ++j) {
-      Ns lat{0.0};
-      const auto partial = tiles_[i * col_tiles_ + j].gemv(slice, &lat);
-      tile_latency = device::max(tile_latency, lat);
       const std::size_t out_lo = j * tc;
-      const std::size_t out_hi = std::min(out_dim_, out_lo + tc);
-      for (std::size_t c = out_lo; c < out_hi; ++c)
-        out[c] += partial[c - out_lo];
+      tiles_[i * col_tiles_ + j].accumulate(
+          slice, a - i * tr,
+          out.subspan(out_lo, std::min(tc, out_dim_ - out_lo)));
     }
+  }
+}
+
+void TiledMatVec::charge(device::Ns* latency) const {
+  Ns tile_latency{0.0};
+  for (const auto& tile : tiles_) {
+    Ns lat{0.0};
+    tile.charge(&lat);
+    tile_latency = device::max(tile_latency, lat);
   }
 
   if (latency != nullptr) {
@@ -142,7 +175,6 @@ std::vector<std::int32_t> TiledMatVec::gemv(std::span<const std::int8_t> in,
                       levels);
     *latency = tile_latency + merge;
   }
-  return out;
 }
 
 }  // namespace imars::xbar

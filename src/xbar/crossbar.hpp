@@ -40,6 +40,17 @@ class Crossbar {
   std::vector<std::int32_t> gemv(std::span<const std::int8_t> in,
                                  device::Ns* latency) const;
 
+  /// gemv's functional part over the input-row window [lo, lo + in.size()):
+  /// out[c] += sum_r w[lo + r][c] * in[r] for the programmed block's columns
+  /// (`out` covers at least those). Charges nothing; charge() adds the cost
+  /// of the gemv it belongs to.
+  void accumulate(std::span<const std::int8_t> in, std::size_t lo,
+                  std::span<std::int32_t> out) const;
+
+  /// Charges what one gemv charges (one xbar matmul FoM); latency via
+  /// out-parameter.
+  void charge(device::Ns* latency) const;
+
   /// Stored weight (for tests).
   std::int8_t weight(std::size_t r, std::size_t c) const;
 
@@ -81,6 +92,19 @@ class TiledMatVec {
   /// out[o] = sum_i W[o][i] * in[i], exact int32.
   std::vector<std::int32_t> gemv(std::span<const std::int8_t> in,
                                  device::Ns* latency) const;
+
+  /// gemv's functional part over the input window [lo, lo + in.size()):
+  /// out[o] += sum_i W[o][lo + i] * in[i] (`out` has out_dim() entries),
+  /// evaluating only the row tiles and rows the window covers. The sums are
+  /// exact int32, so a gemv splits into windows bit-exactly. Charges
+  /// nothing; charge() adds the cost of the whole gemv.
+  void accumulate(std::span<const std::int8_t> in, std::size_t lo,
+                  std::span<std::int32_t> out) const;
+
+  /// Charges what one gemv charges, in the same order: every tile's matmul
+  /// and, when `latency` is non-null, the partial-sum merge; writes the
+  /// gemv's latency.
+  void charge(device::Ns* latency) const;
 
  private:
   const device::DeviceProfile* profile_;

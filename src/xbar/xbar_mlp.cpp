@@ -1,5 +1,6 @@
 #include "xbar/xbar_mlp.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -73,20 +74,59 @@ std::size_t XbarMlp::tile_count() const noexcept {
   return n;
 }
 
+std::vector<std::int8_t> XbarMlp::quantize_input(
+    std::span<const float> x) const {
+  const util::QuantParams qp{layers_.front().in_scale};
+  std::vector<std::int8_t> q(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) q[i] = qp.quantize(x[i]);
+  return q;
+}
+
 tensor::Vector XbarMlp::infer(std::span<const float> x,
                               device::Ns* latency) const {
   IMARS_REQUIRE(x.size() == in_dim_, "XbarMlp::infer: input dim mismatch");
+  const TiledMatVec& first = layers_.front().matvec;
+  std::vector<std::int32_t> acc(first.out_dim(), 0);
+  first.accumulate(quantize_input(x), 0, acc);
+  return finish(std::move(acc), latency);
+}
 
-  // Quantize the input with the first layer's activation scale.
-  std::vector<std::int8_t> q(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    q[i] = util::QuantParams{layers_.front().in_scale}.quantize(x[i]);
+XbarMlp::PreparedInput XbarMlp::prepare(std::span<const float> x,
+                                        std::size_t lo,
+                                        std::size_t len) const {
+  IMARS_REQUIRE(x.size() == in_dim_, "XbarMlp::prepare: input dim mismatch");
+  IMARS_REQUIRE(lo + len <= in_dim_, "XbarMlp::prepare: window past the input");
+  std::vector<std::int8_t> q = quantize_input(x);
+  std::fill(q.begin() + static_cast<std::ptrdiff_t>(lo),
+            q.begin() + static_cast<std::ptrdiff_t>(lo + len), 0);
+  const TiledMatVec& first = layers_.front().matvec;
+  PreparedInput p{lo, len, std::vector<std::int32_t>(first.out_dim(), 0)};
+  first.accumulate(q, 0, p.partial);
+  return p;
+}
 
+tensor::Vector XbarMlp::infer(const PreparedInput& in,
+                              std::span<const float> window,
+                              device::Ns* latency) const {
+  IMARS_REQUIRE(window.size() == in.window_len,
+                "XbarMlp::infer: window width mismatch");
+  std::vector<std::int32_t> acc = in.partial;
+  layers_.front().matvec.accumulate(quantize_input(window), in.window_lo, acc);
+  return finish(std::move(acc), latency);
+}
+
+tensor::Vector XbarMlp::finish(std::vector<std::int32_t> acc,
+                               device::Ns* latency) const {
   Ns total{0.0};
   tensor::Vector out_f;
-  for (const auto& layer : layers_) {
+  std::vector<std::int8_t> q;
+  for (std::size_t li = 0; li < layers_.size(); ++li) {
+    const Layer& layer = layers_[li];
     Ns lat{0.0};
-    std::vector<std::int32_t> acc = layer.matvec.gemv(q, &lat);
+    if (li == 0)
+      layer.matvec.charge(&lat);
+    else
+      acc = layer.matvec.gemv(q, &lat);
     total += lat + profile_->xbar_layer_overhead;
     ledger_->charge(device::Component::kPeripheral,
                     profile_->xbar_layer_energy);

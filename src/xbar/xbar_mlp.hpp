@@ -43,6 +43,29 @@ class XbarMlp {
   /// (sum of layer latencies) via out-parameter.
   tensor::Vector infer(std::span<const float> x, device::Ns* latency) const;
 
+  /// An input whose lanes outside one window stay fixed across inferences,
+  /// with the first layer's int32 sums over those lanes precomputed.
+  struct PreparedInput {
+    std::size_t window_lo = 0;
+    std::size_t window_len = 0;
+    std::vector<std::int32_t> partial;  ///< first-layer sums, window zeroed
+  };
+
+  /// Quantizes `x` with the window lanes [lo, lo + len) zeroed (their
+  /// values in `x` are ignored) and evaluates the first layer over the
+  /// remaining lanes. Charges nothing: every infer() of the result charges
+  /// a whole inference.
+  PreparedInput prepare(std::span<const float> x, std::size_t lo,
+                        std::size_t len) const;
+
+  /// infer() of the prepared input with its window lanes set to `window`:
+  /// the same outputs, latency and ledger charges (same order), bit for
+  /// bit. The activation scale is static per layer and quantize(0) == 0,
+  /// so the window's quantized lanes add to the fixed lanes' exact int32
+  /// first-layer sums; only the window's crossbar rows are evaluated here.
+  tensor::Vector infer(const PreparedInput& in, std::span<const float> window,
+                       device::Ns* latency) const;
+
  private:
   struct Layer {
     TiledMatVec matvec;
@@ -53,6 +76,14 @@ class XbarMlp {
     nn::Activation act = nn::Activation::kIdentity;
     bool is_last = false;
   };
+
+  /// Quantizes input lanes with the first layer's activation scale.
+  std::vector<std::int8_t> quantize_input(std::span<const float> x) const;
+
+  /// Completes an inference from the first layer's int32 sums (bias not
+  /// yet added): charges the first layer, then runs every later one.
+  tensor::Vector finish(std::vector<std::int32_t> acc,
+                        device::Ns* latency) const;
 
   const device::DeviceProfile* profile_ = nullptr;
   device::EnergyLedger* ledger_ = nullptr;

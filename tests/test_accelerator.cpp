@@ -330,6 +330,28 @@ TEST(Accelerator, TopkCtrThermometerFillsWholeWords) {
   }
 }
 
+// The CTR buffer persists across queries: a ranking over fewer candidates
+// than the previous one leaves stale rows behind, which must never drain
+// into its result.
+TEST(Accelerator, TopkCtrIgnoresStaleRowsOfALargerPass) {
+  Fixture f;
+  util::Xoshiro256 rng(35);
+  std::vector<float> big(200);
+  for (auto& s : big) s = static_cast<float>(rng.uniform());
+  big[150] = 1.0f;  // a stale row that would beat every live one
+  (void)f.acc.topk_ctr(big, 20, nullptr);
+
+  const std::vector<float> small = {0.2f, 0.6f, 0.1f, 0.4f, 0.3f};
+  std::vector<std::size_t> want(small.size());
+  std::iota(want.begin(), want.end(), 0);
+  std::sort(want.begin(), want.end(), [&](std::size_t a, std::size_t b) {
+    if (small[a] != small[b]) return small[a] > small[b];
+    return a < b;
+  });
+  want.resize(3);
+  EXPECT_EQ(f.acc.topk_ctr(small, 3, nullptr), want);
+}
+
 TEST(Accelerator, ResetEnergyClearsLedger) {
   Fixture f;
   (void)f.acc.load_uiet("t", random_table(100, 21));

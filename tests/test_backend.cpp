@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
 #include <memory>
+#include <span>
+#include <string>
 
 #include "baseline/cpu_backend.hpp"
 #include "baseline/exact_nns.hpp"
@@ -195,6 +199,209 @@ TEST(ImarsBackend, CandidateCapRespectsCtrBuffer) {
   EXPECT_THROW(ImarsBackend(*f.model, ArchConfig{},
                             DeviceProfile::fefet45(), bad, f.calib),
                Error);
+}
+
+// ---------- rank charge pinning ----------------------------------------------
+//
+// The modeled hardware repeats the rank-UIET/history lookups and the whole
+// ranking DNN for every candidate (Sec III-C, Table III "for one item
+// input"); the host may compute candidate-invariant work once, but what a
+// ranking charges is part of the model. These golden values were recorded
+// with a per-candidate loop that re-pooled the lookups and re-ran the full
+// DNN; every run below must reproduce its per-OpKind costs, its ranked items
+// and scores, the ledger total and the per-component energies and op counts
+// exactly.
+
+struct RankCharges {
+  std::string run;
+  // {latency ns, energy pJ} of kEtLookup, kDnn, kTopK; every other OpKind
+  // must stay zero.
+  std::array<double, 6> stage;
+  std::vector<std::size_t> items;
+  std::vector<float> scores;
+  double ledger_pj;
+  std::array<double, static_cast<std::size_t>(device::Component::kCount)>
+      energy;
+  std::array<std::size_t, static_cast<std::size_t>(device::Component::kCount)>
+      ops;
+};
+
+// C++ initializer for `c`, round-trip exact, for re-pinning on purpose.
+std::string initializer(const RankCharges& c) {
+  char buf[64];
+  std::string s = "{\"" + c.run + "\", {";
+  for (std::size_t i = 0; i < c.stage.size(); ++i) {
+    std::snprintf(buf, sizeof buf, "%s%.17g", i ? ", " : "", c.stage[i]);
+    s += buf;
+  }
+  s += "},\n {";
+  for (std::size_t i = 0; i < c.items.size(); ++i)
+    s += (i ? ", " : "") + std::to_string(c.items[i]);
+  s += "},\n {";
+  for (std::size_t i = 0; i < c.scores.size(); ++i) {
+    std::snprintf(buf, sizeof buf, "%s%.9gf", i ? ", " : "",
+                  static_cast<double>(c.scores[i]));
+    s += buf;
+  }
+  std::snprintf(buf, sizeof buf, "},\n %.17g,\n {", c.ledger_pj);
+  s += buf;
+  for (std::size_t i = 0; i < c.energy.size(); ++i) {
+    std::snprintf(buf, sizeof buf, "%s%.17g", i ? ", " : "", c.energy[i]);
+    s += buf;
+  }
+  s += "},\n {";
+  for (std::size_t i = 0; i < c.ops.size(); ++i)
+    s += (i ? ", " : "") + std::to_string(c.ops[i]);
+  return s + "}},";
+}
+
+// Every run starts from a reset ledger, so each record is that ranking alone.
+std::vector<RankCharges> measure_rank_charges(const BackendFixture& f) {
+  std::vector<std::size_t> twenty(20);
+  for (std::size_t i = 0; i < twenty.size(); ++i) twenty[i] = (i * 7 + 3) % 90;
+  const std::vector<std::size_t> one = {41};
+  auto no_history = f.model->make_context(*f.ds, 5);
+  no_history.history.clear();
+
+  std::vector<RankCharges> out;
+  for (const auto mode : {core::TimingMode::kActualPlacement,
+                          core::TimingMode::kWorstCaseSameArray}) {
+    ImarsBackendConfig bcfg = f.backend->config();
+    bcfg.timing = mode;
+    ImarsBackend backend(*f.model, ArchConfig{}, DeviceProfile::fefet45(),
+                         bcfg, f.calib);
+    const std::string tag =
+        mode == core::TimingMode::kActualPlacement ? "actual." : "worst.";
+    struct Run {
+      std::string name;
+      recsys::UserContext user;
+      std::span<const std::size_t> candidates;
+      std::size_t k;
+    };
+    const std::vector<Run> runs = {
+        {"1cand.k3", f.model->make_context(*f.ds, 2), one, 3},
+        {"20cand.k5", f.model->make_context(*f.ds, 3), twenty, 5},
+        {"20cand.no_history.k20", no_history, twenty, 20},
+    };
+    for (const auto& run : runs) {
+      backend.accelerator().reset_energy();
+      StageStats stats;
+      const auto ranked = backend.rank(run.user, run.candidates, run.k, &stats);
+      for (std::size_t i = 0; i < stats.ops.size(); ++i) {
+        const auto kind = static_cast<OpKind>(i);
+        if (kind == OpKind::kEtLookup || kind == OpKind::kDnn ||
+            kind == OpKind::kTopK)
+          continue;
+        EXPECT_EQ(stats.ops[i].latency.value, 0.0) << recsys::op_name(kind);
+        EXPECT_EQ(stats.ops[i].energy.value, 0.0) << recsys::op_name(kind);
+      }
+      RankCharges c{tag + run.name,
+                    {stats.at(OpKind::kEtLookup).latency.value,
+                     stats.at(OpKind::kEtLookup).energy.value,
+                     stats.at(OpKind::kDnn).latency.value,
+                     stats.at(OpKind::kDnn).energy.value,
+                     stats.at(OpKind::kTopK).latency.value,
+                     stats.at(OpKind::kTopK).energy.value},
+                    {},
+                    {},
+                    backend.accelerator().ledger().total().value,
+                    {},
+                    {}};
+      for (const auto& r : ranked) {
+        c.items.push_back(r.item);
+        c.scores.push_back(r.score);
+      }
+      for (std::size_t i = 0; i < c.ops.size(); ++i) {
+        const auto comp = static_cast<device::Component>(i);
+        c.energy[i] = backend.accelerator().ledger().energy(comp).value;
+        c.ops[i] = backend.accelerator().ledger().ops(comp);
+      }
+      out.push_back(std::move(c));
+    }
+  }
+  return out;
+}
+
+// Stage costs are {ET latency, ET energy, DNN latency, DNN energy, top-k
+// latency, top-k energy}; per-component energies and op counts in
+// device::Component order.
+const std::vector<RankCharges> kGoldenRank = {
+    {"actual.1cand.k3", {94.899999999999991, 58544.399999999994, 1561,
+     641.90000000000009, 13.6, 507.5},
+     {41},
+     {0.465641201f},
+     59693.800000000003,
+     {71.5, 110.39999999999999, 216, 959, 6692, 41.400000000000006, 120, 140,
+      8.5, 51335},
+     {8, 8, 2, 7, 7, 3, 10, 7, 17, 24}},
+    {"actual.20cand.k5", {2100, 1173287.9999999991, 31220, 12837.999999999996,
+     203.59999999999999, 1440.4000000000001},
+     {3, 4, 11, 10, 25},
+     {0.552364528f, 0.506368697f, 0.491792113f, 0.471063793f, 0.467722982f},
+     1187566.3999999999,
+     {1429.9999999999984, 110.39999999999999, 6480, 19180, 133840,
+      827.99999999999932, 2412, 2800, 151, 1020335},
+     {160, 8, 60, 140, 140, 60, 201, 140, 302, 461}},
+    {"actual.20cand.no_history.k20", {1540, 1048047.9999999993, 31220,
+     12837.999999999996, 205.59999999999999, 1452.4000000000001},
+     {3, 4, 11, 10, 25, 17, 87, 45, 24, 59, 18, 80, 31, 32, 46, 52, 66, 73, 39,
+      38},
+     {0.557773709f, 0.515607357f, 0.501183271f, 0.480890185f, 0.477798343f,
+      0.473499507f, 0.470853746f, 0.468192935f, 0.462560058f, 0.461193204f,
+      0.460788459f, 0.460221946f, 0.460217208f, 0.459910184f, 0.458884597f,
+      0.458354115f, 0.458346993f, 0.457364798f, 0.455962181f, 0.451955616f},
+     1062338.3999999999,
+     {1429.9999999999984, 110.39999999999999, 0, 16440, 114720,
+      827.99999999999932, 1944, 2400, 131, 924335},
+     {160, 8, 0, 120, 120, 60, 162, 120, 262, 421}},
+    {"worst.1cand.k3", {97.400000000000006, 58491.899999999994, 1561,
+     641.90000000000009, 13.6, 507.5},
+     {41},
+     {0.465641201f},
+     59641.300000000003,
+     {127, 110.39999999999999, 108, 959, 6692, 41.400000000000006, 120, 140,
+      8.5, 51335},
+     {11, 8, 1, 7, 7, 3, 10, 7, 17, 24}},
+    {"worst.20cand.k5", {2356, 1173283.9999999993, 31220, 12837.999999999996,
+     203.59999999999999, 1440.4000000000001},
+     {3, 4, 11, 10, 25},
+     {0.552364528f, 0.506368697f, 0.491792113f, 0.471063793f, 0.467722982f},
+     1187562.3999999999,
+     {3585.999999999995, 110.39999999999999, 4320, 19180, 133840,
+      827.99999999999932, 2412, 2800, 151, 1020335},
+     {260, 8, 40, 140, 140, 60, 201, 140, 302, 461}},
+    {"worst.20cand.no_history.k20", {1540, 1048047.9999999993, 31220,
+     12837.999999999996, 205.59999999999999, 1452.4000000000001},
+     {3, 4, 11, 10, 25, 17, 87, 45, 24, 59, 18, 80, 31, 32, 46, 52, 66, 73, 39,
+      38},
+     {0.557773709f, 0.515607357f, 0.501183271f, 0.480890185f, 0.477798343f,
+      0.473499507f, 0.470853746f, 0.468192935f, 0.462560058f, 0.461193204f,
+      0.460788459f, 0.460221946f, 0.460217208f, 0.459910184f, 0.458884597f,
+      0.458354115f, 0.458346993f, 0.457364798f, 0.455962181f, 0.451955616f},
+     1062338.3999999999,
+     {1429.9999999999984, 110.39999999999999, 0, 16440, 114720,
+      827.99999999999932, 1944, 2400, 131, 924335},
+     {160, 8, 0, 120, 120, 60, 162, 120, 262, 421}},
+};
+
+TEST(ImarsBackend, RankChargesMatchGoldenExactly) {
+  BackendFixture f;
+  const auto got = measure_rank_charges(f);
+  std::string measured;
+  for (const auto& c : got) measured += initializer(c) + "\n";
+  ASSERT_EQ(got.size(), kGoldenRank.size()) << "measured:\n" << measured;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const RankCharges& want = kGoldenRank[i];
+    const RankCharges& have = got[i];
+    SCOPED_TRACE(initializer(have));
+    EXPECT_EQ(have.run, want.run);
+    EXPECT_EQ(have.stage, want.stage);
+    EXPECT_EQ(have.items, want.items);
+    EXPECT_EQ(have.scores, want.scores);
+    EXPECT_EQ(have.ledger_pj, want.ledger_pj);
+    EXPECT_EQ(have.energy, want.energy);
+    EXPECT_EQ(have.ops, want.ops);
+  }
 }
 
 // ---------- DLRM on iMARS -----------------------------------------------------

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <vector>
 
 #include "cma/cma.hpp"
 #include "util/error.hpp"
@@ -232,6 +234,29 @@ TEST(Cma, SearchChargesOneArrayOp) {
   (void)f.array.search(BitVec(256), 0);
   EXPECT_EQ(f.ledger.ops(Component::kCmaSearch), before + 1);
   EXPECT_DOUBLE_EQ(f.ledger.energy(Component::kCmaSearch).value, 13.8);
+}
+
+// Rows at or past the live bound (row-valid bits at the priority encoder)
+// never match, whatever they hold; the search is still one array op.
+TEST(Cma, LiveRowBoundMasksTrailingRows) {
+  Fixture f;
+  for (std::size_t r = 0; r < 40; ++r) f.array.write_row(r, BitVec(256));
+  f.array.set_mode(Mode::kTcam);
+  for (const std::size_t live : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{25}, std::size_t{40},
+                                 std::size_t{1000}}) {
+    const auto before_ops = f.ledger.ops(Component::kCmaSearch);
+    const double before_pj = f.ledger.energy(Component::kCmaSearch).value;
+    const auto r = f.array.search(BitVec(256), 0, live);
+    std::vector<std::size_t> want(std::min<std::size_t>(live, 40));
+    std::iota(want.begin(), want.end(), 0);
+    EXPECT_EQ(r.matches, want) << "live " << live;
+    for (std::size_t row = 0; row < 256; ++row)
+      EXPECT_EQ(r.matchlines.get(row), row < want.size()) << "row " << row;
+    EXPECT_EQ(f.ledger.ops(Component::kCmaSearch), before_ops + 1);
+    EXPECT_DOUBLE_EQ(f.ledger.energy(Component::kCmaSearch).value - before_pj,
+                     f.profile.cma_search.energy.value);
+  }
 }
 
 // ---------- GPCiM ------------------------------------------------------------

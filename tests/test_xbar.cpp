@@ -2,7 +2,10 @@
 // larger matrices, XbarMlp quantized inference vs float reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
 
 #include "nn/mlp.hpp"
 #include "util/error.hpp"
@@ -265,6 +268,110 @@ TEST(XbarMlp, TileCountMatchesAnalyticFormula) {
   std::vector<Vector> calib(2, Vector(383, 0.1f));
   xbar::XbarMlp qmlp(f.profile, &f.ledger, mlp, calib);
   EXPECT_EQ(qmlp.tile_count(), 2u * 2u + 1u * 1u);
+}
+
+// Prepared inference (fixed lanes' first-layer sums precomputed, one lane
+// window varying per call) must be infer() on the assembled input, bit for
+// bit: outputs, latency, the captured energy and every per-component ledger
+// energy and op count. in_dim 300 spans two row tiles; the 200-wide first
+// layer spans two column tiles.
+TEST(XbarMlp, PreparedInferenceEqualsInferOnAssembledInput) {
+  const DeviceProfile profile = DeviceProfile::fefet45();
+  util::Xoshiro256 rng(16);
+  nn::Mlp mlp({300, 200, 64, 1}, nn::Activation::kSigmoid, rng);
+  auto random_input = [&rng] {
+    Vector v(300);
+    for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+    return v;
+  };
+  std::vector<Vector> calib;
+  for (int i = 0; i < 4; ++i) calib.push_back(random_input());
+  EnergyLedger full_ledger;
+  EnergyLedger prep_ledger;
+  const xbar::XbarMlp full(profile, &full_ledger, mlp, calib);
+  const xbar::XbarMlp prep(profile, &prep_ledger, mlp, calib);
+  full_ledger.clear();
+  prep_ledger.clear();
+
+  struct Window {
+    std::size_t lo;
+    std::size_t len;
+  };
+  // Lane 0, mid-input, straddling the 256-row tile boundary, whole input.
+  for (const Window w : {Window{0, 32}, Window{100, 32}, Window{240, 32},
+                         Window{0, 300}}) {
+    SCOPED_TRACE("window " + std::to_string(w.lo) + "+" +
+                 std::to_string(w.len));
+    Vector x = random_input();
+    const auto prepared = prep.prepare(x, w.lo, w.len);
+    for (int trial = 0; trial < 5; ++trial) {
+      Vector window(w.len);
+      for (auto& v : window) v = static_cast<float>(rng.uniform(-1.5, 1.5));
+      std::copy(window.begin(), window.end(),
+                x.begin() + static_cast<std::ptrdiff_t>(w.lo));
+
+      device::Ns full_lat{0.0};
+      device::ScopedEnergyCapture full_cap(full_ledger);
+      const Vector want = full.infer(x, &full_lat);
+      const device::Pj full_pj = full_cap.take();
+
+      device::Ns prep_lat{0.0};
+      device::ScopedEnergyCapture prep_cap(prep_ledger);
+      const Vector got = prep.infer(prepared, window, &prep_lat);
+      const device::Pj prep_pj = prep_cap.take();
+
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(prep_lat.value, full_lat.value);
+      EXPECT_EQ(prep_pj.value, full_pj.value);
+      for (std::size_t c = 0;
+           c < static_cast<std::size_t>(Component::kCount); ++c) {
+        const auto comp = static_cast<Component>(c);
+        EXPECT_EQ(prep_ledger.energy(comp).value,
+                  full_ledger.energy(comp).value)
+            << device::component_name(comp);
+        EXPECT_EQ(prep_ledger.ops(comp), full_ledger.ops(comp))
+            << device::component_name(comp);
+      }
+    }
+  }
+}
+
+TEST(XbarMlp, PreparedWindowIsChecked) {
+  Fixture f;
+  util::Xoshiro256 rng(17);
+  nn::Mlp mlp({40, 8}, nn::Activation::kIdentity, rng);
+  std::vector<Vector> calib(2, Vector(40, 0.5f));
+  const xbar::XbarMlp qmlp(f.profile, &f.ledger, mlp, calib);
+  EXPECT_THROW((void)qmlp.prepare(Vector(40, 0.1f), 30, 11), Error);
+  EXPECT_THROW((void)qmlp.prepare(Vector(39, 0.1f), 0, 8), Error);
+  const auto prepared = qmlp.prepare(Vector(40, 0.1f), 8, 8);
+  EXPECT_THROW((void)qmlp.infer(prepared, Vector(7, 0.1f), nullptr), Error);
+}
+
+// A gemv split into input windows sums to the whole gemv exactly.
+TEST(TiledMatVec, WindowedAccumulateSumsToGemv) {
+  Fixture f;
+  util::Xoshiro256 rng(18);
+  const QMatrix w = QMatrix::quantize(Matrix::randn(150, 300, 1.0f, rng));
+  const xbar::TiledMatVec mv(f.profile, &f.ledger, w);
+  std::vector<std::int8_t> in(300);
+  for (auto& v : in)
+    v = static_cast<std::int8_t>(static_cast<int>(rng.below(256)) - 128);
+  const auto want = mv.gemv(in, nullptr);
+  const double charged = f.ledger.total().value;
+
+  std::vector<std::int32_t> got(150, 0);
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{7},
+                                std::size_t{250}, std::size_t{262},
+                                std::size_t{300}}) {
+    std::fill(got.begin(), got.end(), 0);
+    mv.accumulate(std::span(in).first(cut), 0, got);
+    mv.accumulate(std::span(in).subspan(cut), cut, got);
+    EXPECT_EQ(got, want) << "cut " << cut;
+  }
+  // The functional part charges nothing.
+  EXPECT_EQ(f.ledger.total().value, charged);
+  EXPECT_THROW(mv.accumulate(std::span(in).first(10), 295, got), Error);
 }
 
 }  // namespace
