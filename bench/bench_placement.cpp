@@ -151,7 +151,6 @@ int main(int argc, char** argv) {
     // admission churn is what exercises dirty-row eviction flushes.
     cfg.cache.capacity_rows = quick ? 96 : 128;
     cfg.traffic = traffic;
-    cfg.overlap = true;
     cfg.self_profile = obs.any();
     if (p.weighted) cfg.shard_map = serve::ShardMap::from_costs(rank_costs);
     if (p.pinned) {

@@ -4,9 +4,9 @@
 //     pooling, partition/access scratch reuse, partial-sort top-k, SoA
 //     report arena) must produce BIT-IDENTICAL simulated-time reports to
 //     the pre-optimization reference path
-//     (ServingConfig::reference_host_path) across
-//     overlap x {closed, open} x class-count. Any mismatch fails the bench
-//     (nonzero exit) — this is the CI gate for the optimization work.
+//     (ServingConfig::reference_host_path) across {phased, default}
+//     collection x {closed, open} x class-count. Any mismatch fails the
+//     bench (nonzero exit) — this is the CI gate for the optimization work.
 //
 //   Part B — cache scaling-law curves. Hit rate / p50 / p99 / QPS versus
 //     hot-cache capacity across user populations {1e5, 1e6, 1e7} (reduced
@@ -212,7 +212,7 @@ int main() {
   // --- Part A: report-parity grid ----------------------------------------
   // reference_host_path re-enacts the pre-optimization allocation pattern;
   // every simulated figure must match the pooled path bit-for-bit across
-  // overlap x arrival-process x class-count.
+  // collection mode x arrival-process x class-count.
   const std::size_t grid_queries = quick ? 160 : 480;
   const std::size_t grid_users = 20000;
   bool parity_ok = true;
@@ -237,21 +237,18 @@ int main() {
 
   util::Table parity_table("Report-parity grid (reference vs optimized)");
   parity_table.header({"cell", "queries", "batches", "identical"});
-  // mode 0 = phased, 1 = async overlap, 2 = overlap + speculative dispatch
-  // windows (the regime where the event loop dispatches ahead of pending
-  // completions under a provable horizon — both host paths must still
-  // agree bit-for-bit).
-  for (const int mode : {0, 1, 2})
+  // "phased" cells run the max_inflight = 0 reference; "overlap" cells run
+  // the default, which defers collection wherever release is
+  // completion-independent (the open-loop cells here).
+  for (const bool overlap : {false, true})
     for (const bool open : {false, true})
       for (const std::size_t classes : {std::size_t{1}, std::size_t{2}}) {
-        const bool overlap = mode >= 1;
         serve::ServingConfig cfg;
         cfg.shards = 4;
         cfg.k = 8;
         cfg.batcher.max_batch = 16;
         cfg.cache.capacity_rows = 2048;
-        cfg.overlap = overlap;
-        cfg.speculate = mode == 2;
+        if (!overlap) cfg.max_inflight = 0;
         if (classes == 2) {
           serve::QosClassConfig hi;
           hi.name = "interactive";
@@ -282,16 +279,13 @@ int main() {
           lg.session_capacity = 4096;
           lg.session_churn = 0.01;
         }
-        // Closed-loop speculation only has room to run ahead when clients
-        // think between queries (the think time extends the safe horizon).
-        if (mode == 2 && !open) lg.think = Ns{40000.0};
 
         auto opt = run_synth(cfg, lg, arch, profile, 24);
         cfg.reference_host_path = true;
         auto ref = run_synth(cfg, lg, arch, profile, 24);
 
         const std::string cell =
-            std::string(mode == 2 ? "spec" : (overlap ? "overlap" : "phased")) +
+            std::string(overlap ? "overlap" : "phased") +
             (open ? ":open" : ":closed") + ":c" + std::to_string(classes);
         const bool same = bench::reports_equal(opt.report, ref.report, cell);
         parity_ok = parity_ok && same;
@@ -332,7 +326,6 @@ int main() {
       cfg.k = 8;
       cfg.batcher.max_batch = 32;
       cfg.cache.capacity_rows = cap;
-      cfg.overlap = true;
       cfg.streaming_report = true;
       serve::LoadGenConfig lg;
       lg.clients = 32;
@@ -388,7 +381,6 @@ int main() {
   ab_cfg.k = 8;
   ab_cfg.batcher.max_batch = 32;
   ab_cfg.cache.capacity_rows = 16384;
-  ab_cfg.overlap = true;
   ab_cfg.self_profile = true;
   serve::LoadGenConfig ab_lg;
   ab_lg.clients = 32;
@@ -455,7 +447,6 @@ int main() {
     cfg.k = 8;
     cfg.batcher.max_batch = 32;
     cfg.cache.capacity_rows = 131072;
-    cfg.overlap = true;
     cfg.streaming_report = true;
     serve::LoadGenConfig lg;
     lg.clients = 32;

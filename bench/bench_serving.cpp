@@ -10,6 +10,11 @@
 //   full        4 shards, batch 8, closed loop, no cache
 //   full+cache  4 shards, batch 8, closed loop, 4096-row hot cache
 //
+// followed by an open-loop Poisson sweep on the full+cache fabric and an
+// open-loop A/B of deferred collection (the default) against the phased
+// max_inflight = 0 reference; the exit code gates the >2x speedup and the
+// A/B's bit-identical reports.
+//
 // Emits BENCH_serving.json records (bench/harness.hpp JsonReport).
 #include <chrono>
 #include <iostream>
@@ -84,7 +89,6 @@ int main(int argc, char** argv) {
                 "hit rate", "max rank util"});
 
   double qps_serial = 0.0, qps_full_cache = 0.0;
-  serve::ServeReport fullcache;
   for (const auto& g : grid) {
     serve::ServingConfig cfg;
     cfg.shards = g.shards;
@@ -110,10 +114,7 @@ int main(int argc, char** argv) {
       max_util = std::max(max_util, report.rank_utilization(s));
 
     if (g.name == "serial") qps_serial = report.qps();
-    if (g.name == "full+cache") {
-      qps_full_cache = report.qps();
-      fullcache = report;
-    }
+    if (g.name == "full+cache") qps_full_cache = report.qps();
 
     table.row({g.name, util::Table::num(report.qps(), 0),
                util::Table::num(report.p50_latency_ns() * 1e-3, 1),
@@ -156,7 +157,7 @@ int main(int argc, char** argv) {
   const std::size_t open_queries = queries * 4;
   std::cout << "\n";
   util::Table open_table("Open-loop Poisson arrivals (full+cache fabric, "
-                         "overlap on)");
+                         "deferred collection)");
   open_table.header({"offered load", "rate qps", "QPS", "p50 us", "p99 us",
                      "mean batch"});
   serve::ServingConfig open_cfg;
@@ -167,7 +168,6 @@ int main(int argc, char** argv) {
   open_cfg.cache.capacity_rows = 4096;
   open_cfg.traffic.filter_features = ml.model->filter_features();
   open_cfg.traffic.rank_features = ml.model->rank_features();
-  open_cfg.overlap = true;  // open loop: batches overlap on worker threads
   open_cfg.self_profile = !trace_path.empty();  // host spans ride along
   // One fabric for the whole sweep: run() resets clocks/usage/cache, so
   // only the offered rate varies between points.
@@ -221,42 +221,23 @@ int main(int argc, char** argv) {
   }
   open_table.print(std::cout);
 
-  // --- Closed-loop speculation A/B: host wall-clock with overlap on ------
-  // The closed loop used to force lockstep collection (the next arrival
-  // depends on a pending completion). Speculative dispatch windows prove a
-  // horizon from the inflight batches' dispatch times, the pipeline's
-  // structural service floor and the clients' think time, and keep
-  // dispatching inside it. Simulated reports must stay bit-identical to
-  // phased mode; the win is host wall-clock (workers compute batch b while
-  // the host batches b+1).
-  double service_sum = 0.0;
-  for (const auto& q : fullcache.queries)
-    service_sum += (q.complete - q.dispatch).value;
-  const device::Ns think{fullcache.size() > 0
-                             ? service_sum / double(fullcache.size())
-                             : 0.0};
-  const std::size_t spec_queries = queries * 4;
-
-  serve::ServingConfig spec_cfg;
-  spec_cfg.shards = 4;
-  spec_cfg.k = k;
-  spec_cfg.batcher.max_batch = 8;
-  spec_cfg.batcher.max_wait = device::Ns{500000.0};
-  spec_cfg.cache.capacity_rows = 4096;
-  spec_cfg.traffic.filter_features = ml.model->filter_features();
-  spec_cfg.traffic.rank_features = ml.model->rank_features();
-
-  serve::LoadGenConfig spec_lg;
-  spec_lg.clients = 16;
-  spec_lg.total_queries = spec_queries;
-  spec_lg.num_users = users.size();
-  spec_lg.user_zipf_s = 0.9;
-  spec_lg.seed = 77;
-  spec_lg.think = think;  // think time extends the provable horizon
+  // --- Open-loop deferred-collection A/B: host wall-clock ----------------
+  // Open-loop ungated runs defer collection automatically: up to
+  // max_inflight batches stay uncollected, so workers compute batch b
+  // while the host batches b+1. max_inflight = 0 is the phased reference.
+  // Simulated reports must be bit-identical; only host wall-clock moves.
+  serve::LoadGenConfig ab_lg;
+  ab_lg.clients = 16;
+  ab_lg.total_queries = open_queries;
+  ab_lg.num_users = users.size();
+  ab_lg.user_zipf_s = 0.9;
+  ab_lg.seed = 77;
+  ab_lg.arrivals = serve::ArrivalProcess::kOpenPoisson;
+  ab_lg.rate_qps = 1.2 * qps_full_cache;
 
   auto timed_run = [&](const serve::ServingConfig& cfg, double& wall_ms) {
     serve::ServingRuntime rt(factory, cfg, arch, profile);
-    serve::LoadGenerator gen(spec_lg);
+    serve::LoadGenerator gen(ab_lg);
     const auto t0 = std::chrono::steady_clock::now();
     const auto report = rt.run(gen, users);
     wall_ms = std::chrono::duration<double, std::milli>(
@@ -265,51 +246,44 @@ int main(int argc, char** argv) {
     return report;
   };
 
-  double phased_ms = 0.0, spec_ms = 0.0;
-  const auto cl_phased = timed_run(spec_cfg, phased_ms);
-  spec_cfg.overlap = true;
-  spec_cfg.speculate = true;
-  const auto cl_spec = timed_run(spec_cfg, spec_ms);
-  const bool cl_same =
-      bench::reports_equal(cl_spec, cl_phased, "closed-loop speculation");
-  const double spec_speedup = spec_ms > 0.0 ? phased_ms / spec_ms : 0.0;
+  serve::ServingConfig ab_cfg = open_cfg;
+  ab_cfg.self_profile = false;
+  double deferred_ms = 0.0, phased_ms = 0.0;
+  const auto deferred = timed_run(ab_cfg, deferred_ms);
+  ab_cfg.max_inflight = 0;
+  const auto phased = timed_run(ab_cfg, phased_ms);
+  const bool ab_same =
+      bench::reports_equal(deferred, phased, "open-loop deferred vs phased");
+  const double ab_speedup = deferred_ms > 0.0 ? phased_ms / deferred_ms : 0.0;
 
   std::cout << "\n";
-  util::Table spec_table("Closed-loop speculative dispatch (" +
-                         std::to_string(spec_queries) + " queries, think " +
-                         util::Table::num(think.us(), 1) + " us)");
-  spec_table.header({"mode", "wall ms", "proceeds", "stalls", "peak inflight",
-                     "identical"});
-  auto spec_row = [&](const std::string& name, const serve::ServeReport& r,
-                      double wall_ms, bool same) {
-    spec_table.row({name, util::Table::num(wall_ms, 1),
-                    std::to_string(r.spec.window_proceeds),
-                    std::to_string(r.spec.window_stalls),
-                    std::to_string(r.spec.peak_inflight),
-                    same ? "yes" : "NO"});
+  util::Table ab_table("Open-loop deferred vs phased collection (" +
+                       std::to_string(open_queries) + " queries at 1.2x)");
+  ab_table.header({"mode", "wall ms", "peak inflight", "identical"});
+  auto ab_row = [&](const std::string& name, const serve::ServeReport& r,
+                    double wall_ms) {
+    ab_table.row({name, util::Table::num(wall_ms, 1),
+                  std::to_string(r.peak_inflight), ab_same ? "yes" : "NO"});
     json.record(name)
-        .set("queries", spec_queries)
-        .set("think_us", think.us())
+        .set("queries", open_queries)
+        .set("rate_qps", ab_lg.rate_qps)
         .set("wall_ms", wall_ms)
-        .set("window_proceeds",
-             static_cast<std::size_t>(r.spec.window_proceeds))
-        .set("window_stalls", static_cast<std::size_t>(r.spec.window_stalls))
-        .set("peak_inflight", r.spec.peak_inflight)
-        .set("reports_identical", same ? 1 : 0)
+        .set("peak_inflight", r.peak_inflight)
+        .set("reports_identical", ab_same ? 1 : 0)
         .set("qps", r.qps())
         .set("makespan_ms", r.makespan.ms());
   };
-  spec_row("spec_closed_phased", cl_phased, phased_ms, cl_same);
-  spec_row("spec_closed_overlap", cl_spec, spec_ms, cl_same);
-  spec_table.print(std::cout);
-  std::cout << "\nclosed-loop host wall-clock (phased / speculative): "
-            << util::Table::factor(spec_speedup) << ", simulated reports "
-            << (cl_same ? "bit-identical" : "MISMATCH (see above)") << "\n";
-  json.record("spec_closed_speedup")
+  ab_row("open_deferred", deferred, deferred_ms);
+  ab_row("open_phased", phased, phased_ms);
+  ab_table.print(std::cout);
+  std::cout << "\nopen-loop host wall-clock (phased / deferred): "
+            << util::Table::factor(ab_speedup) << ", simulated reports "
+            << (ab_same ? "bit-identical" : "MISMATCH (see above)") << "\n";
+  json.record("open_defer_speedup")
       .set("phased_wall_ms", phased_ms)
-      .set("speculative_wall_ms", spec_ms)
-      .set("host_speedup", spec_speedup)
-      .set("reports_identical", cl_same ? 1 : 0);
+      .set("deferred_wall_ms", deferred_ms)
+      .set("host_speedup", ab_speedup)
+      .set("reports_identical", ab_same ? 1 : 0);
   json.write();
 
   const double speedup = qps_serial > 0.0 ? qps_full_cache / qps_serial : 0.0;
@@ -320,5 +294,5 @@ int main(int argc, char** argv) {
                "splits the per-candidate ranking loop across replicas, and\n"
                "the hot-embedding cache serves Zipf-hot UIET/ItET rows from\n"
                "the periphery buffer instead of the CMA arrays.\n";
-  return (speedup > 2.0 && cl_same) ? 0 : 1;
+  return (speedup > 2.0 && ab_same) ? 0 : 1;
 }

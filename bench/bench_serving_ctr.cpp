@@ -6,7 +6,7 @@
 // behind one runtime — to exercise capability-weighted placement:
 //   serial      1 FeFET-45 shard, closed loop (the capacity anchor)
 //   uniform     4 shards (FeFET-45, FeFET-22, ReRAM-45 x2), modulo split,
-//               open-loop Poisson at 1.5x aggregate capacity, overlap on
+//               open-loop Poisson at 1.5x aggregate capacity
 //   weighted    same fabric + load, ShardMap weighted by measured score cost
 //   weighted+$  weighted + 8192-row hot-embedding cache
 //
@@ -97,11 +97,10 @@ int main(int argc, char** argv) {
           servable->probe_score_cost(samples.front()));
     }
     // The sharded points are driven open-loop above fabric capacity (with
-    // cross-batch overlap), so QPS measures what the fabric can actually
+    // deferred collection), so QPS measures what the fabric can actually
     // sustain — a closed loop would self-throttle to the client count and
     // mask the placement difference.
     const bool open = g.shards > 1 && qps_serial > 0.0;
-    cfg.overlap = open;
     cfg.self_profile = obs.any();
     serve::ServingRuntime rt(std::move(servable), cfg, arch, base_profile,
                              profiles);

@@ -69,7 +69,6 @@ int main(int argc, char** argv) {
     cfg.k = 1;
     cfg.batcher.max_batch = 16;
     cfg.batcher.max_wait = device::Ns{500000.0};
-    cfg.overlap = open;
     cfg.self_profile = obs.any();
     auto rt = std::make_unique<serve::ServingRuntime>(std::move(servable),
                                                       cfg, arch, profile);

@@ -10,9 +10,9 @@
 //              round trip that re-admits each query at its pass-1
 //              completion and runs the precise re-rank), i.e. fusing the
 //              funnel into one dispatch saves the second batching round;
-//   parity   — the overlap-invariance contract holds for the funnel
-//              across the full regime grid (open/closed x gated/ungated,
-//              overlap off vs on, bit-identical reports), the degenerate
+//   parity   — deferred collection (the default) reports bit-identically
+//              to the phased max_inflight = 0 reference across the full
+//              regime grid (open/closed x gated/ungated), the degenerate
 //              funnel (fixed retrieval, no re-rank) is bit-identical to
 //              the two-stage ShardRouter it collapses to, and
 //              MicroRec-style table combining keeps every query's top-k
@@ -125,14 +125,14 @@ int main(int argc, char** argv) {
             << audit_users << " users (gate >= 0.95): "
             << (recall_ok ? "OK" : "FAIL") << "\n\n";
 
-  auto make_cfg = [&](bool overlap, bool gated) {
+  auto make_cfg = [&](bool phased, bool gated) {
     serve::ServingConfig cfg;
     cfg.shards = shards;
     cfg.k = k;
     cfg.batcher.max_batch = 4;
     cfg.batcher.max_wait = device::Ns{300000.0};
     cfg.cache.capacity_rows = 256;
-    cfg.overlap = overlap;
+    if (phased) cfg.max_inflight = 0;
     if (gated) {
       cfg.qos = serve::QosBatcherConfig::single(cfg.batcher);
       cfg.qos.admit_window = device::Ns{50000.0};
@@ -186,31 +186,33 @@ int main(int argc, char** argv) {
       .set("gate", 0.95)
       .set("ok", recall_ok ? 1 : 0);
 
-  // --- gate 3a: overlap-invariance grid ----------------------------------
+  // --- gate 3a: deferred vs phased parity grid ---------------------------
   bool grid_ok = true;
   serve::ServeReport fused;        // open, ungated, phased
   serve::ServeReport closed_plain; // closed, ungated, phased (combine ref)
-  util::Table grid_table("Parity grid (overlap off vs on, bit-identical)");
+  util::Table grid_table("Parity grid (phased vs deferred, bit-identical)");
   grid_table.header({"regime", "p99 us", "QPS", "parity"});
   serve::TraceLog trace_log;
   for (const bool open : {false, true})
     for (const bool gated : {false, true}) {
       const bool traced = open && !gated && !observe.trace_path.empty();
-      const auto off = run_funnel(fcfg, make_cfg(false, gated),
-                                  make_load(open),
-                                  traced ? &trace_log : nullptr);
-      const auto on = run_funnel(fcfg, make_cfg(true, gated), make_load(open));
+      const auto phased = run_funnel(fcfg, make_cfg(true, gated),
+                                     make_load(open),
+                                     traced ? &trace_log : nullptr);
+      const auto deferred =
+          run_funnel(fcfg, make_cfg(false, gated), make_load(open));
       const std::string regime = std::string(open ? "open" : "closed") +
                                  (gated ? "+gated" : "");
-      const bool eq = bench::reports_equal(off, on, "grid:" + regime);
+      const bool eq = bench::reports_equal(phased, deferred, "grid:" + regime);
       grid_ok = grid_ok && eq;
-      if (open && !gated) fused = off;
-      if (!open && !gated) closed_plain = off;
-      grid_table.row({regime, util::Table::num(off.p99_latency_ns() * 1e-3, 1),
-                      util::Table::num(off.qps(), 0), eq ? "OK" : "FAIL"});
+      if (open && !gated) fused = phased;
+      if (!open && !gated) closed_plain = phased;
+      grid_table.row({regime,
+                      util::Table::num(phased.p99_latency_ns() * 1e-3, 1),
+                      util::Table::num(phased.qps(), 0), eq ? "OK" : "FAIL"});
       json.record("grid_" + regime)
-          .set("p99_us", off.p99_latency_ns() * 1e-3)
-          .set("qps", off.qps())
+          .set("p99_us", phased.p99_latency_ns() * 1e-3)
+          .set("qps", phased.qps())
           .set("overlap_parity", eq ? 1 : 0);
     }
   grid_table.print(std::cout);

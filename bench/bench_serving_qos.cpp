@@ -20,14 +20,10 @@
 // class-blind at equal (+-5%) goodput, and fairness shares within 5
 // points of the weights.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <iostream>
-#include <limits>
-#include <map>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/backend_factory.hpp"
@@ -35,7 +31,6 @@
 #include "harness.hpp"
 #include "serve/runtime.hpp"
 #include "serve/trace.hpp"
-#include "serve_compare.hpp"
 #include "util/table.hpp"
 
 using namespace imars;
@@ -221,135 +216,6 @@ int main(int argc, char** argv) {
             << "% lower) at goodput ratio "
             << util::Table::num(goodput_ratio, 3) << "\n\n";
 
-  // --- speculative dispatch A/B: recover overlap under gated admission ---
-  // Gated admission used to force lockstep collection (every gate decision
-  // read the exact device frontier). Speculative windows prove a frontier
-  // lower bound from per-class service floors and dispatch ahead of
-  // pending completions. The floors come from the phased run itself: 0.9x
-  // the smallest observed batch service per class is provably below every
-  // completion the speculative run will see (same seed, same workload, and
-  // the runtime validates the floor against each collected batch), so the
-  // simulated reports must stay bit-identical — the win is host wall-clock
-  // only.
-  std::vector<device::Ns> min_service(
-      qos_cfg.qos.classes.size(),
-      device::Ns{std::numeric_limits<double>::infinity()});
-  {
-    struct BatchBounds {
-      device::Ns dispatch;
-      device::Ns first_complete;
-      std::size_t cls;
-    };
-    std::map<std::size_t, BatchBounds> bounds;
-    for (const auto& q : qos.queries) {
-      auto [it, fresh] = bounds.try_emplace(
-          q.batch, BatchBounds{q.dispatch, q.complete, q.qos_class});
-      if (!fresh && q.complete.value < it->second.first_complete.value)
-        it->second.first_complete = q.complete;
-    }
-    for (const auto& [id, b] : bounds) {
-      const device::Ns svc = b.first_complete - b.dispatch;
-      if (svc.value < min_service[b.cls].value) min_service[b.cls] = svc;
-    }
-  }
-
-  serve::ServingConfig spec_cfg = qos_cfg;
-  spec_cfg.self_profile = false;
-  for (std::size_t c = 0; c < spec_cfg.qos.classes.size(); ++c)
-    if (std::isfinite(min_service[c].value) && min_service[c].value > 0.0)
-      spec_cfg.qos.classes[c].service_floor = min_service[c] * 0.9;
-
-  auto timed_run = [&](const serve::ServingConfig& cfg) {
-    serve::ServingRuntime rt(fx.factory, cfg, fx.arch, fx.profile);
-    serve::LoadGenerator gen(mix_lg);
-    const auto t0 = std::chrono::steady_clock::now();
-    serve::ServeReport report = rt.run(gen, fx.users);
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-    return std::make_pair(std::move(report), wall_ms);
-  };
-
-  auto [spec_phased, phased_ms] = timed_run(spec_cfg);
-  serve::ServingConfig spec_on_cfg = spec_cfg;
-  spec_on_cfg.overlap = true;
-  spec_on_cfg.speculate = true;
-  auto [spec_overlap, overlap_ms] = timed_run(spec_on_cfg);
-
-  const bool floors_inert =
-      bench::reports_equal(spec_phased, qos, "service floors (phased)");
-  const bool spec_same =
-      bench::reports_equal(spec_overlap, qos, "speculative vs phased");
-  const double spec_speedup = overlap_ms > 0.0 ? phased_ms / overlap_ms : 0.0;
-
-  util::Table spec_table("Speculative windows under gated admission");
-  spec_table.header({"mode", "wall ms", "proceeds", "gate proofs", "stalls",
-                     "peak inflight", "identical"});
-  auto spec_row = [&](const std::string& name, const serve::ServeReport& r,
-                      double wall_ms_, bool same) {
-    spec_table.row({name, util::Table::num(wall_ms_, 1),
-                    std::to_string(r.spec.window_proceeds),
-                    std::to_string(r.spec.gate_shut_proofs),
-                    std::to_string(r.spec.window_stalls),
-                    std::to_string(r.spec.peak_inflight),
-                    same ? "yes" : "NO"});
-    json.record(name)
-        .set("queries", overload_queries)
-        .set("rate_qps", overload_rate)
-        .set("wall_ms", wall_ms_)
-        .set("window_proceeds", static_cast<std::size_t>(r.spec.window_proceeds))
-        .set("gate_shut_proofs",
-             static_cast<std::size_t>(r.spec.gate_shut_proofs))
-        .set("window_stalls", static_cast<std::size_t>(r.spec.window_stalls))
-        .set("peak_inflight", r.spec.peak_inflight)
-        .set("reports_identical", same ? 1 : 0)
-        .set("interactive_p99_us", r.class_p99_latency_ns(0) * 1e-3)
-        .set("makespan_ms", r.makespan.ms());
-  };
-  spec_row("spec_phased", spec_phased, phased_ms, floors_inert);
-  spec_row("spec_overlap", spec_overlap, overlap_ms, spec_same);
-  spec_table.print(std::cout);
-  std::cout << "\nhost wall-clock (phased / speculative): "
-            << util::Table::factor(spec_speedup) << ", simulated reports "
-            << ((floors_inert && spec_same) ? "bit-identical"
-                                           : "MISMATCH (see above)")
-            << "\n\n";
-  json.record("spec_speedup")
-      .set("phased_wall_ms", phased_ms)
-      .set("speculative_wall_ms", overlap_ms)
-      .set("host_speedup", spec_speedup)
-      .set("reports_identical", (floors_inert && spec_same) ? 1 : 0);
-
-  // Adaptive estimates ride the same machinery: EWMA over observed batch
-  // service, committed on the inflight hold-back schedule. Adaptation
-  // CHANGES the simulated schedule (closes fire off live estimates rather
-  // than the static config), so this is a separate record, not part of the
-  // parity A/B — the determinism claim for adaptation (overlap on/off
-  // agree) is asserted in the test suite.
-  serve::ServingConfig adapt_cfg = qos_cfg;
-  adapt_cfg.self_profile = false;
-  adapt_cfg.adaptive.enabled = true;
-  serve::ServingRuntime adapt_rt(fx.factory, adapt_cfg, fx.arch, fx.profile);
-  serve::LoadGenerator adapt_gen(mix_lg);
-  const auto adapt = adapt_rt.run(adapt_gen, fx.users);
-  std::cout << "adaptive estimates: interactive p99 "
-            << util::Table::num(adapt.class_p99_latency_ns(0) * 1e-3, 1)
-            << " us (static " << util::Table::num(p99_qos * 1e-3, 1)
-            << " us), "
-            << static_cast<std::size_t>(adapt.spec.estimate_commits)
-            << " EWMA commits\n\n";
-  json.record("qos_adaptive")
-      .set("queries", overload_queries)
-      .set("rate_qps", overload_rate)
-      .set("alpha", adapt_cfg.adaptive.alpha)
-      .set("interactive_p99_us", adapt.class_p99_latency_ns(0) * 1e-3)
-      .set("bulk_p99_us", adapt.class_p99_latency_ns(1) * 1e-3)
-      .set("goodput_qps", adapt.qps())
-      .set("estimate_commits",
-           static_cast<std::size_t>(adapt.spec.estimate_commits))
-      .set("slo_violations",
-           adapt.classes.size() > 1 ? adapt.classes[0].slo_violations : 0);
-
   // --- fairness experiment: two saturated tenants, weights 1:3 -----------
   serve::ServingConfig fair_cfg = base_config(fx);
   serve::QosClassConfig light;
@@ -400,19 +266,17 @@ int main(int argc, char** argv) {
   const bool tail_ok = p99_gain >= 0.30;
   const bool goodput_ok = std::abs(goodput_ratio - 1.0) <= 0.05;
   const bool fair_ok = fairness_gap <= 0.05;
-  const bool spec_ok = floors_inert && spec_same;
   std::cout << "\nacceptance: interactive p99 -"
             << util::Table::num(p99_gain * 100.0, 1) << "% (need >= 30%) "
             << (tail_ok ? "OK" : "FAIL") << ", goodput ratio "
             << util::Table::num(goodput_ratio, 3) << " (need 1 +- 0.05) "
             << (goodput_ok ? "OK" : "FAIL") << ", fairness gap "
             << util::Table::num(fairness_gap, 3) << " (need <= 0.05) "
-            << (fair_ok ? "OK" : "FAIL") << ", speculation parity "
-            << (spec_ok ? "OK" : "FAIL") << "\n"
+            << (fair_ok ? "OK" : "FAIL") << "\n"
             << "Reading: separate per-class queues + preemptive close bound\n"
                "how long an interactive request can sit in the batcher, and\n"
                "the gated admission queue lets its batch overtake the bulk\n"
                "backlog (within its weight entitlement) instead of queueing\n"
                "behind every previously-closed bulk batch on the fabric.\n";
-  return (tail_ok && goodput_ok && fair_ok && spec_ok) ? 0 : 1;
+  return (tail_ok && goodput_ok && fair_ok) ? 0 : 1;
 }

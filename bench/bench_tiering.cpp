@@ -132,7 +132,6 @@ int main(int argc, char** argv) {
     cfg.batcher.max_wait = device::Ns{500000.0};
     cfg.cache = cache;
     cfg.placement = placement;
-    cfg.overlap = lg.arrivals != serve::ArrivalProcess::kClosedLoop;
     cfg.self_profile = obs.any();
     serve::ServingRuntime rt(std::move(servable), cfg, arch, profile);
     Arm arm;

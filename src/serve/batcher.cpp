@@ -78,22 +78,7 @@ QosBatcher::QosBatcher(const QosBatcherConfig& cfg)
     IMARS_REQUIRE(c.weight >= 0.0, "QosBatcher: weight must be non-negative");
     IMARS_REQUIRE(c.request_cost > 0.0,
                   "QosBatcher: request_cost must be positive");
-    IMARS_REQUIRE(c.service_floor.value >= 0.0,
-                  "QosBatcher: service_floor must be non-negative");
   }
-}
-
-void QosBatcher::set_service_estimate(std::size_t cls, device::Ns estimate) {
-  IMARS_REQUIRE(cls < cfg_.classes.size(), "QosBatcher: class out of range");
-  IMARS_REQUIRE(estimate.value >= 0.0,
-                "QosBatcher: service_estimate must be non-negative");
-  cfg_.classes[cls].service_estimate = estimate;
-}
-
-void QosBatcher::set_request_cost(std::size_t cls, double cost) {
-  IMARS_REQUIRE(cls < cfg_.classes.size(), "QosBatcher: class out of range");
-  IMARS_REQUIRE(cost > 0.0, "QosBatcher: request_cost must be positive");
-  cfg_.classes[cls].request_cost = cost;
 }
 
 void QosBatcher::add(const Request& r) {

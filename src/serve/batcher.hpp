@@ -119,23 +119,12 @@ struct QosClassConfig {
   /// used by the preemptive close above. A static, configured estimate (the
   /// benches probe it with a calibration run) so batching decisions never
   /// depend on completion feedback — the arrival stream alone fixes every
-  /// close decision, which keeps overlapped and phased execution
+  /// close decision, which keeps deferred and phased collection
   /// bit-identical. Left unset (0) on a latency-critical class, the
   /// runtime defaults it from the servable's probed stage-graph critical
   /// path (StagePipeline::service_estimate) — still static, so the
   /// determinism contract is preserved.
   device::Ns service_estimate{0.0};
-  /// Guaranteed minimum dispatch-to-complete time of any batch of this
-  /// class (a provable lower bound, not an estimate). The speculative
-  /// dispatch window (ServingConfig::speculate) uses it to bound how far a
-  /// pending completion can move the device frontier: a larger floor means
-  /// a wider provably-safe dispatch horizon. The runtime merges it with
-  /// the servable's own structural floor (the output-stage merge cost,
-  /// StagePipeline::service_floor) and *validates* it at collection time —
-  /// a floor above any observed batch service time aborts the run rather
-  /// than silently breaking the safety argument. 0 (default) claims
-  /// nothing beyond the structural floor.
-  device::Ns service_floor{0.0};
   /// Device-time entitlement relative to the other classes. Weight 0 marks
   /// a scavenger class: it is only ever admitted when no other class has
   /// pending work.
@@ -208,15 +197,6 @@ class QosBatcher {
   /// Weighted virtual time of a class (admission accounting); weight-0
   /// classes report +inf.
   double virtual_time(std::size_t cls) const;
-
-  /// Adaptive-QoS hooks (ServingConfig::adaptive): replace a class's
-  /// service_estimate / request_cost mid-run. The runtime only calls these
-  /// at window boundaries it can prove are reached identically with
-  /// overlap on or off, so every close decision still depends on the
-  /// arrival stream plus an identical update schedule — the determinism
-  /// contract of the static estimates carries over unchanged.
-  void set_service_estimate(std::size_t cls, device::Ns estimate);
-  void set_request_cost(std::size_t cls, double cost);
 
   /// Returns drained `Batch::requests` storage to the spare pool so the
   /// next close_batch reuses its capacity instead of allocating. Purely a

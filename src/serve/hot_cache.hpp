@@ -30,7 +30,7 @@
 // pipeline as one PerfModel::cold_block_fetch (take_block_faults()).
 // Migration is frequency-driven and committed only at batch-dispatch
 // boundaries (commit_migrations()), never at completion, so decisions are
-// deterministic under overlap on/off: a cold fault admits its block warm
+// deterministic phased or deferred: a cold fault admits its block warm
 // immediately (counters/costs), but capacity demotions are deferred to the
 // next commit, which walks a FIFO of unpinned blocks and grants one
 // reprieve to any block still hotter than the settled-min LFU bound of
@@ -154,7 +154,7 @@ class HotEmbeddingCache {
   /// hotter than the hot tier's settled-min LFU bound. Called by the
   /// runtime before collecting each batch — never at completion — so the
   /// decision sequence depends only on the submission order and is
-  /// identical under overlap on/off. No-op with tiering disabled.
+  /// identical phased or deferred. No-op with tiering disabled.
   void commit_migrations(device::Ns at);
 
   /// Pins the blocks containing `keys` (key = table<<32 | row) as

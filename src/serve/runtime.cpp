@@ -313,42 +313,15 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   const bool open = gen.config().arrivals != ArrivalProcess::kClosedLoop;
   const bool gated = qos.gated();
   // Deferred collection (cross-batch stage overlap) requires batch release
-  // to be completion-independent — true unconditionally only for
-  // open-loop/trace arrivals with an ungated admission queue (the gate
-  // reads the device frontier, which completions advance). The phased loop
+  // to be completion-independent — true only for open-loop/trace arrivals
+  // with an ungated admission queue (the gate reads the device frontier,
+  // which completions advance). Everything else collects phased: the loop
   // still overlaps query stages *within* a batch (the engine chains stages
-  // with no barrier), but collects batch by batch.
-  //
-  // Speculative dispatch windows (ServingConfig::speculate) extend
-  // deferral into the completion-DEPENDENT regimes: every decision the
-  // phased loop takes with complete information is taken here only once
-  // it is PROVABLE from lower bounds — per-class service floors bound how
-  // early a pending completion can land — and where nothing is provable
-  // the loop collects a completion first, exactly as phased would.
-  // Decisions and timestamps therefore never diverge from phased
-  // execution; only the host-side placement of the waits does.
-  const bool speculate = cfg_.overlap && cfg_.speculate;
-  const bool defer = cfg_.overlap && ((open && !gated) || speculate);
-  const std::size_t max_inflight =
-      std::max<std::size_t>(cfg_.max_inflight, 1);
+  // with no barrier), but collects batch by batch. max_inflight = 0 forces
+  // the phased path everywhere — the parity grids' reference.
+  const bool defer = open && !gated;
+  const std::size_t inflight_cap = defer ? cfg_.max_inflight : 0;
   const device::Ns window = qos.admit_window;
-  // Per-class provable service floors: the configured claim
-  // (QosClassConfig::service_floor) merged with the servable's structural
-  // merge floor (StagePipeline::service_floor). Every speculative proof
-  // below bounds a pending completion by dispatch + floor; collection
-  // validates the bound against each observed completion.
-  std::vector<device::Ns> floor_of;
-  for (const auto& cls : qos.classes)
-    floor_of.push_back(device::max(
-        cls.service_floor, pipeline_.service_floor(cls.servable, cfg_.k)));
-  // Closed-loop clients re-issue at complete + think, so the think time
-  // widens the horizon within which pending completions cannot inject an
-  // arrival.
-  const device::Ns think = open ? device::Ns{0.0} : gen.config().think;
-  const bool adaptive = cfg_.adaptive.enabled;
-  if (adaptive)
-    IMARS_REQUIRE(cfg_.adaptive.alpha > 0.0 && cfg_.adaptive.alpha <= 1.0,
-                  "ServingRuntime: adaptive alpha must be in (0, 1]");
 
   // Closed loop: completions enqueue out-of-order arrivals, so a heap is
   // needed. Open loop / trace: next_arrival() already yields sorted
@@ -400,7 +373,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     ServableBackend* servable = nullptr;
     std::size_t qos_class = 0;
     std::size_t id = 0;        ///< batch id (observer span key)
-    std::size_t batch_index = 0;  ///< submission sequence (adaptive commits)
     device::Ns first_enqueue;  ///< oldest member's arrival
     device::Ns dispatch;  ///< batch close time (update-ordering fence)
     device::Ns release;   ///< admission-gate release (== dispatch ungated)
@@ -408,35 +380,13 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   };
   std::deque<InflightBatch> inflight;
 
-  // Adaptive-QoS observation pipeline: collection records each batch's
-  // observed service time (and per-request device time); submission
-  // commits observations back into the batcher on the fixed hold-back
-  // schedule documented at submit_batch. FIFO in both modes (inflight is
-  // drained in submission order), so the committed stream is identical
-  // with overlap on or off.
-  struct AdaptiveObs {
-    std::size_t batch_index = 0;
-    std::size_t cls = 0;
-    device::Ns service;        ///< dispatch -> last member complete
-    double per_request = 0.0;  ///< mean per-request device time (ns)
-  };
-  std::deque<AdaptiveObs> obs_pending;
-  std::vector<device::Ns> est_ewma;
-  for (const auto& cls : qos.classes) est_ewma.push_back(cls.service_estimate);
-  std::vector<double> req_ewma(qos.classes.size(), 0.0);
-  // First committed per-request observation per class: the baseline that
-  // anchors request_cost scaling (cost tracks RELATIVE drift, so the
-  // configured cross-class cost ratios keep their meaning).
-  std::vector<double> req_base(qos.classes.size(), 0.0);
-  std::size_t next_batch_index = 0;
-
   // Embedding-update requests awaiting application, in arrival order.
   // Updates bypass the batcher entirely; their write traffic is applied in
   // TIMESTAMP order relative to batch dispatches — every update with
   // enqueue <= a batch's dispatch applies before that batch's collection.
   // Both phased and deferred collection walk batches in dispatch order, so
-  // the cache/clock mutation sequence is identical under overlap on/off
-  // (the write-back analogue of the bit-identical-reports contract).
+  // the cache/clock mutation sequence is identical either way (the
+  // write-back analogue of the bit-identical-reports contract).
   std::deque<Request> pending_updates;
   auto apply_update = [&](const Request& r) {
     const std::size_t cls = qos.classes.size() == 1 ? 0 : r.qos_class;
@@ -485,7 +435,7 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   std::deque<Batch> ready;
 
   // Deterministic accounting of the oldest in-flight batch (collection
-  // happens in dispatch order, so overlapped and phased execution yield
+  // happens in dispatch order, so deferred and phased collection yield
   // bit-identical reports).
   // Optimized-path scratch: one result buffer reused across every drained
   // batch, and the SoA arena accumulating per-query records until the
@@ -500,7 +450,7 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     apply_updates_until(entry.dispatch);
     // Tier migrations commit at the same batch-dispatch fence — never at
     // completion — so the demotion sequence depends only on the
-    // submission order and is bit-identical under overlap on/off.
+    // submission order and is bit-identical phased or deferred.
     cache.commit_migrations(entry.dispatch);
     {
       // Worker-completion wait is simulated-work execution time, not host
@@ -525,13 +475,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     ++cr.batches;
     const device::Ns slo = qos.classes[entry.qos_class].deadline;
     device::Ns batch_complete = entry.dispatch;
-    device::Ns batch_first_complete{
-        std::numeric_limits<double>::infinity()};
-    device::Ns batch_device_time;
-    // Cold-tier block-fault time (OpKind::kEtBlock) charged into this
-    // batch, tallied separately: it feeds the adaptive-QoS observation
-    // adjustment below, and stays exactly zero with tiering disabled.
-    device::Ns batch_fault_time;
     for (const auto& res : results) {
       const Request& req = res.request;
       // Whole-run telemetry (class accounting, stage stats, makespan) is
@@ -542,7 +485,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
       for (const auto& s : res.stage_stats) {
         energy += s.total().energy;
         device_time += s.total().latency;
-        batch_fault_time += s.at(recsys::OpKind::kEtBlock).latency;
       }
       report.routed_items += res.routed_items;
       report.pinned_items += res.pinned_items;
@@ -589,46 +531,11 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
       report.rank_stats.merge(res.stage_stats.back());
       report.makespan = device::max(report.makespan, res.complete);
       batch_complete = device::max(batch_complete, res.complete);
-      if (res.complete.value < batch_first_complete.value)
-        batch_first_complete = res.complete;
-      batch_device_time += device_time;
 
       // Closed loop: the client issues its next query on completion.
       if (!open)
         if (auto next = gen.next(req.client, res.complete))
           arrivals.push(*next);
-    }
-    // Floor validation: every speculative proof assumed no member of this
-    // batch completed before dispatch + floor. A configured service_floor
-    // that is not a true lower bound aborts the run here (identically
-    // with overlap on or off) instead of silently voiding the proofs.
-    if (!results.empty() && floor_of[entry.qos_class].value > 0.0)
-      IMARS_REQUIRE((batch_first_complete - entry.dispatch).value >=
-                        floor_of[entry.qos_class].value,
-                    "ServingRuntime: batch completed below its class "
-                    "service_floor — the floor is not a true lower bound");
-    if (adaptive && !results.empty()) {
-      AdaptiveObs obs;
-      obs.batch_index = entry.batch_index;
-      obs.cls = entry.qos_class;
-      // Tier-fault attribution: cold-block fault bursts are a tier-warming
-      // TRANSIENT, not class service drift — feeding them into the EWMA as
-      // ordinary service time inflates the estimate and triggers spurious
-      // preemptive closes for several commit windows after the hot set has
-      // re-warmed. The fault-charged time is subtracted from both observed
-      // figures (clamped at zero: faults overlap across shards, so their
-      // sum can exceed the batch's wall service). With tiering disabled
-      // kEtBlock is identically zero and the observations are unchanged.
-      obs.service = device::max(
-          batch_complete - entry.dispatch - batch_fault_time,
-          device::Ns{0.0});
-      obs.per_request =
-          std::max(batch_device_time.value - batch_fault_time.value, 0.0) /
-          static_cast<double>(results.size());
-      obs_pending.push_back(obs);
-      if (sink_ != nullptr && batch_fault_time.value > 0.0)
-        sink_->on_counter("qos.fault." + qos.classes[entry.qos_class].name,
-                          batch_complete, batch_fault_time.value);
     }
     if (sink_ != nullptr) {
       const QosClassConfig& ccfg = qos.classes[entry.qos_class];
@@ -648,46 +555,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   };
 
   auto submit_batch = [&](Batch batch, device::Ns release) {
-    const std::size_t my_index = next_batch_index++;
-    // Adaptive commits happen here, on a fixed hold-back schedule: an
-    // observation of batch B is applied only once `max_inflight` later
-    // submissions have occurred. Submission always trims inflight to
-    // max_inflight, so by submission S both the phased and the deferred
-    // loop are guaranteed to have collected every batch B with
-    // B + max_inflight < S — the commit stream (and with it every
-    // subsequent close decision) is identical with overlap on or off.
-    if (adaptive) {
-      while (!obs_pending.empty() &&
-             obs_pending.front().batch_index + max_inflight < my_index) {
-        const AdaptiveObs obs = obs_pending.front();
-        obs_pending.pop_front();
-        const double a = cfg_.adaptive.alpha;
-        est_ewma[obs.cls] = device::Ns{
-            a * obs.service.value + (1.0 - a) * est_ewma[obs.cls].value};
-        batcher.set_service_estimate(obs.cls, est_ewma[obs.cls]);
-        if (req_base[obs.cls] <= 0.0) {
-          req_base[obs.cls] = obs.per_request;
-          req_ewma[obs.cls] = obs.per_request;
-        } else {
-          req_ewma[obs.cls] =
-              a * obs.per_request + (1.0 - a) * req_ewma[obs.cls];
-        }
-        if (req_base[obs.cls] > 0.0)
-          batcher.set_request_cost(
-              obs.cls, qos.classes[obs.cls].request_cost *
-                           (req_ewma[obs.cls] / req_base[obs.cls]));
-        ++report.spec.estimate_commits;
-        if (sink_ != nullptr) {
-          sink_->on_counter("qos.est." + qos.classes[obs.cls].name, release,
-                            est_ewma[obs.cls].value);
-          // The committed observation itself (fault-adjusted batch
-          // service), so a trace can audit the attribution against the
-          // raw batch spans.
-          sink_->on_counter("qos.obs." + qos.classes[obs.cls].name, release,
-                            obs.service.value);
-        }
-      }
-    }
     const std::size_t cls = batch.qos_class;
     const QosClassConfig& ccfg = qos.classes[cls];
     ServableBackend* servable = servables_[ccfg.servable].get();
@@ -702,7 +569,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     entry.first_enqueue = batch.requests.empty()
                               ? batch.dispatch
                               : batch.requests.front().enqueue;
-    entry.batch_index = my_index;
     entry.dispatch = batch.dispatch;
     entry.release = release;
     entry.trigger = batch.trigger;
@@ -716,13 +582,8 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
                                  ccfg.servable, urgent);
     }
     inflight.push_back(std::move(entry));
-    if (inflight.size() > report.spec.peak_inflight)
-      report.spec.peak_inflight = inflight.size();
-    if (!defer) {
-      drain_one();
-    } else {
-      while (inflight.size() > max_inflight) drain_one();
-    }
+    report.peak_inflight = std::max(report.peak_inflight, inflight.size());
+    while (inflight.size() > inflight_cap) drain_one();
   };
 
   // Admission order over the GATED ready queue: deadline classes running
@@ -734,7 +595,7 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   // gating forces immediate collection, so the per-class device-time
   // totals it reads are always complete. (Ungated mode releases in close
   // order — under deferred collection the totals lag by the in-flight
-  // batches, and a policy read there would let the overlap flag change
+  // batches, and a policy read there would let max_inflight change
   // release order, breaking the bit-identical-reports contract.)
   auto pick_ready = [&]() -> std::size_t {
     double total_device = 0.0;
@@ -775,18 +636,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
     return best_vt.value_or(0);
   };
 
-  // Provable lower bound on the device backlog frontier while completions
-  // are pending: the committed frontier, plus each in-flight batch's
-  // guaranteed minimum completion (dispatch + its class floor — validated
-  // at collection). Clock commits only move forward, so the true frontier
-  // can never undercut this; with inflight empty it IS the frontier.
-  auto frontier_lb = [&] {
-    device::Ns lb = pipeline_.frontier();
-    for (const auto& e : inflight)
-      lb = device::max(lb, e.dispatch + floor_of[e.qos_class]);
-    return lb;
-  };
-
   // Releases ready batches while the admission gate is open at `now` (the
   // device backlog frontier within admit_window). Ungated: releases
   // everything immediately. The comparison uses the same
@@ -795,23 +644,7 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   // stay shut at its own opening instant.
   auto pump = [&](device::Ns now) {
     while (!ready.empty()) {
-      if (gated) {
-        if (speculate && !inflight.empty()) {
-          // Provably shut: even the frontier LOWER BOUND puts the gate
-          // beyond the window, so the exact frontier (>= the bound) does
-          // too — phased would break here as well. The in-flight batches
-          // keep executing while the event loop moves on.
-          if ((frontier_lb() - window).value > now.value) {
-            ++report.spec.gate_shut_proofs;
-            break;
-          }
-          // Not provably shut: collect everything first, so the exact
-          // gate check and pick_ready's per-class device-time totals read
-          // precisely the state phased admission reads.
-          while (!inflight.empty()) drain_one();
-        }
-        if ((pipeline_.frontier() - window).value > now.value) break;
-      }
+      if (gated && (pipeline_.frontier() - window).value > now.value) break;
       const std::size_t idx = gated ? pick_ready() : 0;
       Batch batch = std::move(ready[idx]);
       ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(idx));
@@ -845,56 +678,11 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
   device::Ns last_enqueue{0.0};
   while (!arrivals_empty() || !batcher.empty() || !ready.empty() ||
          !inflight.empty()) {
-    if (speculate && !open && !inflight.empty()) {
-      if (arrivals_empty()) {
-        // Every remaining arrival comes from a pending completion: collect
-        // one — phased execution would already hold it in the heap.
-        drain_one();
-        continue;
-      }
-      // Closed-loop speculation horizon: an uncollected batch completes no
-      // earlier than dispatch + floor, so its clients' next arrivals land
-      // no earlier than H = min over inflight of (dispatch + floor), plus
-      // the think time. Any event strictly before H is decided on exactly
-      // the state phased execution sees (its extra arrivals all lie at or
-      // beyond H); at or past H nothing is provable, so collect first.
-      double horizon = std::numeric_limits<double>::infinity();
-      for (const auto& e : inflight)
-        horizon =
-            std::min(horizon, (e.dispatch + floor_of[e.qos_class]).value);
-      horizon += think.value;
-      double next_event = peek_arrival().enqueue.value;
-      if (const auto trigger = batcher.deadline(); trigger.has_value())
-        next_event = std::min(next_event, trigger->value);
-      if (!(next_event < horizon)) {
-        ++report.spec.window_stalls;
-        drain_one();
-        continue;
-      }
-      ++report.spec.window_proceeds;
-    }
     if (!arrivals_empty()) {
       const device::Ns next_arrival = peek_arrival().enqueue;
       const auto trigger = batcher.deadline();
       std::optional<device::Ns> gate;
-      if (gated && !ready.empty()) {
-        if (speculate && !inflight.empty()) {
-          // The exact frontier is unknowable with completions pending.
-          // When even its lower bound puts the gate opening at or after
-          // the next arrival, phased provably would not take the gate
-          // branch before that arrival (and any due trigger precedes
-          // both), so the decision below needs no gate candidate at all.
-          // Otherwise the ordering is unprovable: collect one completion
-          // and re-decide on tighter bounds.
-          if ((frontier_lb() - window).value < next_arrival.value) {
-            ++report.spec.window_stalls;
-            drain_one();
-            continue;
-          }
-        } else {
-          gate = pipeline_.frontier() - window;
-        }
-      }
+      if (gated && !ready.empty()) gate = pipeline_.frontier() - window;
       // Earliest actionable event wins; the arrival wins ties (matching
       // the PR 2 loop), and a due batcher trigger precedes a gate opening
       // at the same instant (close before release). The close time is
@@ -956,13 +744,6 @@ ServeReport ServingRuntime::run(LoadGenerator& gen) {
       continue;
     }
     if (!ready.empty()) {
-      if (speculate && !inflight.empty()) {
-        // Only the gated backlog and in-flight work remain: the opening
-        // time needs the exact frontier, and with no arrivals left there
-        // is nothing to overlap with — collect down to phased state.
-        drain_one();
-        continue;
-      }
       // Only the gated backlog remains: open the gate at its own time.
       pump(device::max(pipeline_.frontier() - window, last_enqueue));
       continue;

@@ -6,12 +6,14 @@
 // The event loop advances simulated hardware time deterministically
 // (arrivals, batch triggers, admission-gate openings, completions), while
 // the functional recommendation work of each dispatched batch executes
-// concurrently on the per-shard worker threads. With `overlap` enabled
-// under completion-independent arrivals (open loop / trace), up to
-// `max_inflight` batches stay in flight: batch b+1's early stages run on
-// the worker threads while batch b's late stages finish (batch composition
-// is completion-independent there, so the deferred accounting is
-// bit-identical to phased execution).
+// concurrently on the per-shard worker threads. Whenever batch release
+// cannot depend on completions — open-loop or trace arrivals with an
+// ungated QoS config — collection is deferred automatically: up to
+// `max_inflight` batches stay uncollected, so batch b+1's early stages run
+// on the worker threads while batch b's late stages finish (batch
+// composition is completion-independent there, so the deferred accounting
+// is bit-identical to phased execution). Closed-loop and gated runs, whose
+// next decision reads completions, collect batch by batch.
 //
 // Multi-tenant QoS (PR 3): requests carry a priority class; each class has
 // its own batching triggers, an optional end-to-end deadline with
@@ -80,24 +82,6 @@ struct PlacementConfig {
   std::vector<HotKey> warm_histogram;
 };
 
-/// Adaptive QoS estimates: EWMA over the observed dispatch-to-complete
-/// time of each class's batches, fed back into the batcher's preemptive
-/// close (service_estimate) and gated-admission accounting (request_cost,
-/// scaled by observed per-request device time). Observations commit on a
-/// fixed schedule — a batch's measurement is applied only once
-/// `max_inflight` later batches have been submitted, a point reached
-/// identically under phased and overlapped execution (submission n always
-/// waits for collection n - max_inflight) — so adaptation never breaks the
-/// overlap-invariance contract: reports stay bit-identical with overlap on
-/// or off, they just both follow the drifting estimates. Off (default),
-/// the estimates stay exactly as configured and every previously recorded
-/// report reproduces bit-identically.
-struct AdaptiveQosConfig {
-  bool enabled = false;
-  /// EWMA smoothing factor in (0, 1]: est' = alpha * obs + (1-alpha) * est.
-  double alpha = 0.2;
-};
-
 struct ServingConfig {
   std::size_t shards = 4;
   std::size_t k = 10;  ///< global top-k per query
@@ -116,33 +100,14 @@ struct ServingConfig {
   std::size_t map_granularity = 64;  ///< buckets per shard (weighted maps)
   /// Frequency-aware hot-row pinning over the map above.
   PlacementConfig placement;
-  /// Async stage overlap: keep up to `max_inflight` batches in flight so a
+  /// Batches allowed to stay uncollected after a submit when collection
+  /// is deferred (open-loop or trace arrivals, ungated QoS config), so a
   /// later batch's early stages overlap an earlier batch's late stages on
-  /// the worker threads. Honored under completion-independent arrivals
-  /// (open loop / trace) with an ungated QoS config (closed-loop batch
-  /// composition and the admission gate both depend on completions, so
-  /// those loops stay phased); hardware-time reports are identical either
-  /// way.
-  bool overlap = false;
+  /// the worker threads. Closed-loop batch composition and the admission
+  /// gate both depend on completions, so those runs always collect each
+  /// batch before the next event. 0 = the phased reference path everywhere;
+  /// hardware-time reports are identical for every value.
   std::size_t max_inflight = 4;
-  /// Speculative dispatch windows: with `overlap` on, also defer collection
-  /// in the completion-DEPENDENT regimes (closed loop, gated admission) —
-  /// but only while the event loop can PROVE the pending completions cannot
-  /// affect its next decision. The proof is built from per-class service
-  /// floors (max of QosClassConfig::service_floor and the servable's
-  /// structural merge floor, StagePipeline::service_floor): every inflight
-  /// batch completes no earlier than dispatch + floor, so a closed loop's
-  /// next spawned arrival lands no earlier than that + think time, and a
-  /// gate whose frontier lower bound sits beyond the admit window is
-  /// provably still shut. Within that horizon the runtime dispatches ahead
-  /// and never rolls back; outside it, it drains exactly as the phased loop
-  /// would. Floors are validated against every observed completion
-  /// (IMARS_REQUIRE), and all decisions use only provable bounds, so
-  /// reports stay bit-identical to phased execution — speculation buys
-  /// host wall-clock overlap, never different simulated numbers.
-  bool speculate = false;
-  /// Adaptive service estimates (see AdaptiveQosConfig).
-  AdaptiveQosConfig adaptive;
 
   /// Streaming report: drop per-query retention and fill
   /// ServeReport::streaming instead — means exact, percentiles within
@@ -243,8 +208,8 @@ class ServingRuntime {
   /// servable's probed graph critical path
   /// (StagePipeline::service_estimate). Probes run on the calling thread
   /// before any batch is in flight, so the derived estimates stay static —
-  /// batching decisions remain completion-independent and the
-  /// overlap-invariant determinism contract holds.
+  /// batching decisions remain completion-independent and deferred
+  /// collection stays bit-identical to the phased path.
   QosBatcherConfig resolved_qos();
 
   /// The configured map with the PlacementPolicy pin layer applied
@@ -265,7 +230,12 @@ class ServingRuntime {
   ShardRouter* router_ = nullptr;  ///< first filter/rank servable, if any
   std::size_t row_bytes_ = 0;      ///< flush-traffic bytes per ET row
   ObserverSink* sink_ = nullptr;   ///< pure observer; never feeds back
-  StagePipeline pipeline_;
+  // Starts on a cache line, so which pipeline fields share a line (worker
+  // threads read its graphs, map and executors on every task while the
+  // event loop writes its counters and scratch) does not depend on the
+  // size of the members above: shifting it by 32 bytes cost ~30% more host
+  // CPU per query on a closed-loop funnel run, reports unchanged.
+  alignas(64) StagePipeline pipeline_;
 };
 
 }  // namespace imars::serve

@@ -190,28 +190,11 @@ struct ServeReport {
   /// simulated-time fields only.
   std::vector<std::pair<std::string, double>> host_span_us;
 
-  /// Speculative-dispatch / adaptive-QoS telemetry
-  /// (ServingConfig::speculate, ServingConfig::adaptive). Like
-  /// host_span_us this is OUTSIDE the bit-identical-reports contract:
-  /// speculation changes where the host waits, never what the simulation
-  /// computes, so phased and speculative runs produce identical simulated
-  /// fields but different counts here.
-  struct SpecStats {
-    /// Events processed inside a proven closed-loop horizon (collection
-    /// deferred past a decision the phased loop would have blocked on).
-    std::uint64_t window_proceeds = 0;
-    /// Decisions that were unprovable from the floors: the loop collected
-    /// a completion first, exactly as phased execution would have.
-    std::uint64_t window_stalls = 0;
-    /// Gated releases skipped because the frontier LOWER BOUND already
-    /// proved the gate shut (no collection needed to decide).
-    std::uint64_t gate_shut_proofs = 0;
-    /// Adaptive EWMA observations committed into the batcher.
-    std::uint64_t estimate_commits = 0;
-    /// Maximum batches simultaneously awaiting collection.
-    std::size_t peak_inflight = 0;
-  };
-  SpecStats spec;
+  /// Maximum batches simultaneously awaiting collection: 1 on the phased
+  /// path, up to ServingConfig::max_inflight + 1 under deferred
+  /// collection. Host-side telemetry like host_span_us — outside the
+  /// bit-identical-reports contract.
+  std::size_t peak_inflight = 0;
 
   /// Total profiled host wall-clock (sum over host_span_us), microseconds.
   /// host.wait — the driver blocking on worker completion — is execution

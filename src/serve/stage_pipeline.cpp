@@ -362,17 +362,6 @@ device::Ns StagePipeline::service_estimate(
   return est;
 }
 
-device::Ns StagePipeline::service_floor(std::size_t slot,
-                                        std::size_t k) const {
-  IMARS_REQUIRE(slot < specs_.size(),
-                "StagePipeline::service_floor: slot out of range");
-  // A merging graph pays the single-slice merge latency on its output
-  // stage no matter how idle the units are; a merge-free graph has no
-  // structural minimum we can prove, so it claims nothing.
-  if (!specs_[slot].merge_topk) return device::Ns{0.0};
-  return merge_cost(1, k).latency;
-}
-
 std::shared_ptr<StagePipeline::BatchHandle::State>
 StagePipeline::acquire_state(std::size_t queries, std::size_t stages,
                              const PipelineSpec& spec) {

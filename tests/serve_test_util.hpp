@@ -1,6 +1,6 @@
 // Shared helpers for the serving test suites: the "same seed => bit-
 // identical ServeReport" comparator that used to be re-implemented inline
-// wherever determinism was asserted (overlap on/off, seed replays, QoS
+// wherever determinism was asserted (deferred/phased, seed replays, QoS
 // grids). Bit-identical means EXACT double equality on every timestamp,
 // latency and energy figure — the engine's determinism contract is that
 // scheduling mode never changes accounting, not that it stays "close".
@@ -18,9 +18,9 @@ namespace imars::serve_test {
 /// order with equal timestamps/latencies/energies/results, same batches,
 /// same cache counters, same per-shard busy time, same per-class
 /// accounting, same write-back traffic. Host-side telemetry
-/// (ServeReport::host_span_us, ServeReport::spec) is deliberately NOT
-/// compared — those fields describe how the simulator ran on the host
-/// (wall clock, speculative window bookkeeping), which the determinism
+/// (ServeReport::host_span_us, ServeReport::peak_inflight) is deliberately
+/// NOT compared — those fields describe how the simulator ran on the host
+/// (wall clock, batches awaiting collection), which the determinism
 /// contract explicitly allows to differ between scheduling modes.
 inline void expect_reports_identical(const serve::ServeReport& a,
                                      const serve::ServeReport& b) {

@@ -3,11 +3,10 @@
 // classes starved, single-class bit-equivalence with the PR 2
 // DynamicBatcher, weight-0 scavenger gating, preemptive close), weighted
 // admission ordering, and the runtime-level determinism grid
-// (overlap on/off x open/closed loop x 1/3 classes).
+// (deferred/phased collection x open/closed loop x 1/3 classes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -360,37 +359,18 @@ struct QosServeFixture {
     factory = core::cpu_backend_factory(*model, cpu_cfg);
   }
 
-  /// Knobs riding along the (classes, open, overlap, gated) grid. The
-  /// same opts object drives a phased/speculative pair: `speculate` and
-  /// `adaptive` are inert without overlap / by schedule, so both runs see
-  /// an identical workload and config.
-  struct RunOpts {
-    bool speculate = false;
-    bool adaptive = false;
-    double alpha = 0.2;
-    double think = 0.0;          ///< closed-loop client think time (ns)
-    double service_floor = 0.0;  ///< claimed floor, applied to every class
-    serve::ObserverSink* sink = nullptr;
-  };
-
-  serve::ServeReport run(std::size_t classes, bool open, bool overlap,
+  /// One cell of the (classes, open, phased, gated) grid. `phased` runs
+  /// the max_inflight = 0 reference path; otherwise the runtime picks
+  /// deferred collection itself wherever release is completion-independent.
+  serve::ServeReport run(std::size_t classes, bool open, bool phased,
                          bool gated = false) {
-    return run(classes, open, overlap, gated, RunOpts{});
-  }
-
-  serve::ServeReport run(std::size_t classes, bool open, bool overlap,
-                         bool gated, const RunOpts& opts) {
     ServingConfig cfg;
     cfg.shards = 3;
     cfg.k = 5;
     cfg.batcher.max_batch = 4;
     cfg.batcher.max_wait = Ns{300000.0};
     cfg.cache.capacity_rows = 1024;
-    cfg.overlap = overlap;
-    cfg.max_inflight = 3;
-    cfg.speculate = opts.speculate;
-    cfg.adaptive.enabled = opts.adaptive;
-    cfg.adaptive.alpha = opts.alpha;
+    if (phased) cfg.max_inflight = 0;
     if (classes > 1) {
       auto interactive = make_class("interactive", 2, 300000.0, 2.0);
       interactive.deadline = Ns{150000.0};
@@ -399,21 +379,13 @@ struct QosServeFixture {
                          make_class("scavenger", 4, 300000.0, 0.0)};
       if (gated) cfg.qos.admit_window = Ns{50000.0};
     }
-    if (opts.service_floor > 0.0) {
-      if (cfg.qos.classes.empty())
-        cfg.qos = QosBatcherConfig::single(cfg.batcher);
-      for (auto& cls : cfg.qos.classes)
-        cls.service_floor = Ns{opts.service_floor};
-    }
     ServingRuntime rt(factory, cfg, core::ArchConfig{},
                       device::DeviceProfile::fefet45());
-    rt.set_observer(opts.sink);
     LoadGenConfig lg;
     lg.clients = 8;
     lg.total_queries = 40;
     lg.num_users = users.size();
     lg.seed = 171;
-    lg.think = Ns{opts.think};
     if (classes > 1) lg.class_mix = {0.2, 0.7, 0.1};
     if (open) {
       lg.arrivals = ArrivalProcess::kOpenPoisson;
@@ -466,13 +438,13 @@ TEST(QosRuntime, SeedDeterminismAcrossOverlapLoopAndClassGrid) {
   QosServeFixture fx;
   for (const std::size_t classes : {std::size_t{1}, std::size_t{3}}) {
     for (const bool open : {false, true}) {
-      // Same seed, same config => bit-identical reports, and the overlap
-      // flag must never change hardware-time accounting.
-      const auto phased = fx.run(classes, open, /*overlap=*/false);
-      const auto phased_again = fx.run(classes, open, /*overlap=*/false);
-      const auto overlapped = fx.run(classes, open, /*overlap=*/true);
+      // Same seed, same config => bit-identical reports, and deferred
+      // collection must never change hardware-time accounting.
+      const auto phased = fx.run(classes, open, /*phased=*/true);
+      const auto phased_again = fx.run(classes, open, /*phased=*/true);
+      const auto deferred = fx.run(classes, open, /*phased=*/false);
       serve_test::expect_reports_identical(phased, phased_again);
-      serve_test::expect_reports_identical(phased, overlapped);
+      serve_test::expect_reports_identical(phased, deferred);
       ASSERT_EQ(phased.size(), 40u)
           << "classes=" << classes << " open=" << open;
     }
@@ -482,9 +454,13 @@ TEST(QosRuntime, SeedDeterminismAcrossOverlapLoopAndClassGrid) {
 TEST(QosRuntime, GatedAdmissionIsSeedDeterministic) {
   QosServeFixture fx;
   for (const bool open : {false, true}) {
-    const auto a = fx.run(3, open, /*overlap=*/true, /*gated=*/true);
-    const auto b = fx.run(3, open, /*overlap=*/true, /*gated=*/true);
+    const auto a = fx.run(3, open, /*phased=*/false, /*gated=*/true);
+    const auto b = fx.run(3, open, /*phased=*/false, /*gated=*/true);
     serve_test::expect_reports_identical(a, b);
+    // Gated admission reads completions, so it never defers collection.
+    serve_test::expect_reports_identical(
+        a, fx.run(3, open, /*phased=*/true, /*gated=*/true));
+    EXPECT_EQ(a.peak_inflight, 1u);
     ASSERT_EQ(a.size(), 40u);
     // Per-class accounting covers the whole stream.
     std::size_t class_queries = 0;
@@ -494,183 +470,6 @@ TEST(QosRuntime, GatedAdmissionIsSeedDeterministic) {
     EXPECT_GE(a.fairness_error(), 0.0);
     EXPECT_LE(a.fairness_error(), 1.0);
   }
-}
-
-// --- Speculative dispatch windows & adaptive estimates ----------------------
-
-TEST(QosRuntime, SpeculativeDispatchMatchesPhasedAcrossRegimeGrid) {
-  QosServeFixture fx;
-  // Speculation recovers deferred collection in the completion-dependent
-  // regimes (closed loop, gated admission). Reports must stay
-  // bit-identical to phased execution across the whole grid — speculation
-  // moves host-side waits, never simulated numbers. Think time widens the
-  // closed-loop horizon, so both closed cells exercise real windows.
-  for (const std::size_t classes : {std::size_t{1}, std::size_t{3}}) {
-    for (const bool open : {false, true}) {
-      for (const bool gated : {false, true}) {
-        if (gated && classes == 1) continue;  // gating needs a class table
-        QosServeFixture::RunOpts opts;
-        opts.speculate = true;  // inert without overlap
-        opts.think = open ? 0.0 : 40000.0;
-        const auto phased = fx.run(classes, open, /*overlap=*/false, gated,
-                                   opts);
-        const auto spec = fx.run(classes, open, /*overlap=*/true, gated,
-                                 opts);
-        serve_test::expect_reports_identical(phased, spec);
-        ASSERT_EQ(spec.size(), 40u)
-            << "classes=" << classes << " open=" << open
-            << " gated=" << gated;
-        // Phased never defers, so its speculative telemetry stays zero.
-        EXPECT_EQ(phased.spec.window_proceeds, 0u);
-        EXPECT_LE(phased.spec.peak_inflight, 1u);
-      }
-    }
-  }
-}
-
-TEST(QosRuntime, ClosedLoopSpeculationActuallyOverlapsBatches) {
-  QosServeFixture fx;
-  // 8 clients arrive at t=0 with max_batch 4: the second size-triggered
-  // batch closes while the first is still provably in flight (the merge
-  // floor alone keeps the horizon open), so speculation must stack at
-  // least two uncollected batches — the regime the phased closed loop
-  // could never overlap.
-  QosServeFixture::RunOpts opts;
-  opts.speculate = true;
-  opts.think = 40000.0;
-  const auto report = fx.run(3, /*open=*/false, /*overlap=*/true,
-                             /*gated=*/false, opts);
-  EXPECT_GT(report.spec.window_proceeds, 0u);
-  EXPECT_GE(report.spec.peak_inflight, 2u);
-}
-
-TEST(QosRuntime, SpeculationIsInertWithoutOverlap) {
-  QosServeFixture fx;
-  QosServeFixture::RunOpts off;
-  QosServeFixture::RunOpts on;
-  on.speculate = true;
-  const auto base = fx.run(3, /*open=*/false, /*overlap=*/false,
-                           /*gated=*/false, off);
-  const auto spec = fx.run(3, /*open=*/false, /*overlap=*/false,
-                           /*gated=*/false, on);
-  serve_test::expect_reports_identical(base, spec);
-  EXPECT_EQ(spec.spec.window_proceeds, 0u);
-  EXPECT_EQ(spec.spec.window_stalls, 0u);
-}
-
-TEST(QosRuntime, AdaptiveReportsAreOverlapInvariant) {
-  QosServeFixture fx;
-  // Adaptive commits ride the fixed hold-back schedule, so the drifting
-  // estimates steer phased and speculative execution identically: the
-  // reports (which now both follow the adapted estimates) stay
-  // bit-identical, and the commit counts agree exactly.
-  for (const bool open : {false, true}) {
-    QosServeFixture::RunOpts opts;
-    opts.adaptive = true;
-    opts.speculate = true;
-    opts.think = open ? 0.0 : 40000.0;
-    const auto phased = fx.run(3, open, /*overlap=*/false, /*gated=*/false,
-                               opts);
-    const auto overlapped = fx.run(3, open, /*overlap=*/true,
-                                   /*gated=*/false, opts);
-    serve_test::expect_reports_identical(phased, overlapped);
-    EXPECT_GT(phased.spec.estimate_commits, 0u);
-    EXPECT_EQ(phased.spec.estimate_commits, overlapped.spec.estimate_commits);
-  }
-}
-
-namespace {
-struct CounterRecorder final : serve::ObserverSink {
-  std::vector<std::pair<std::string, double>> counters;
-  void on_counter(std::string_view name, Ns, double value) override {
-    counters.emplace_back(std::string(name), value);
-  }
-};
-}  // namespace
-
-TEST(QosRuntime, AdaptiveEwmaTracksObservedServiceExactly) {
-  QosServeFixture fx;
-  // With alpha = 1 the EWMA degenerates to "estimate := last committed
-  // observation", so every committed qos.est.<class> counter must equal
-  // the observed service time (dispatch -> last member complete) of the
-  // corresponding batch — batches commit in submission order (== batch id
-  // order when ungated), held back by max_inflight (3 in this fixture).
-  CounterRecorder rec;
-  QosServeFixture::RunOpts opts;
-  opts.adaptive = true;
-  opts.alpha = 1.0;
-  opts.sink = &rec;
-  const auto report = fx.run(3, /*open=*/true, /*overlap=*/false,
-                             /*gated=*/false, opts);
-  // Per-batch observed service and class, keyed by batch id.
-  std::map<std::size_t, double> service;
-  std::map<std::size_t, std::string> cls_of;
-  for (const auto& q : report.queries) {
-    const double s = (q.complete - q.dispatch).value;
-    auto [it, fresh] = service.try_emplace(q.batch, s);
-    if (!fresh) it->second = std::max(it->second, s);
-    cls_of[q.batch] = report.classes[q.qos_class].name;
-  }
-  std::vector<std::pair<std::string, double>> got;
-  for (const auto& [name, value] : rec.counters)
-    if (name.rfind("qos.est.", 0) == 0) got.emplace_back(name, value);
-  ASSERT_EQ(service.size(), report.batches);
-  ASSERT_GT(report.spec.estimate_commits, 0u);
-  ASSERT_EQ(got.size(), report.spec.estimate_commits);
-  // Submissions 0..N-1 commit batches 0..N-2-max_inflight, in order.
-  ASSERT_EQ(got.size(), report.batches - 1 - 3);
-  for (std::size_t b = 0; b < got.size(); ++b) {
-    EXPECT_EQ(got[b].first, "qos.est." + cls_of[b]) << "commit " << b;
-    EXPECT_DOUBLE_EQ(got[b].second, service[b]) << "commit " << b;
-  }
-}
-
-TEST(QosRuntime, ServiceFloorIsValidatedAgainstCompletions) {
-  QosServeFixture fx;
-  // A claimed floor far above any real batch service time voids every
-  // speculative proof — the run must abort, not silently diverge.
-  QosServeFixture::RunOpts bogus;
-  bogus.service_floor = 1.0e12;
-  EXPECT_THROW(
-      fx.run(3, /*open=*/false, /*overlap=*/false, /*gated=*/false, bogus),
-      std::runtime_error);
-  // A genuinely provable (tiny) floor changes nothing: same report as the
-  // floorless run, with or without speculation.
-  QosServeFixture::RunOpts tiny;
-  tiny.service_floor = 1.0;
-  tiny.speculate = true;
-  const auto base =
-      fx.run(3, /*open=*/false, /*overlap=*/false, /*gated=*/false);
-  const auto floored = fx.run(3, /*open=*/false, /*overlap=*/true,
-                              /*gated=*/false, tiny);
-  serve_test::expect_reports_identical(base, floored);
-}
-
-TEST(QosBatcher, AdaptiveSettersFeedTriggerAndAdmission) {
-  // set_service_estimate moves the preemptive trigger of the CURRENT
-  // queue contents (trigger_time recomputes per call), and
-  // set_request_cost rescales subsequent admission accounting.
-  auto cls = make_class("interactive", 8, 1e9, 1.0);
-  cls.deadline = Ns{100.0};
-  cls.service_estimate = Ns{30.0};
-  QosBatcherConfig cfg;
-  cfg.classes = {cls};
-  QosBatcher b(cfg);
-  b.add(make_request(0, 1000.0));
-  ASSERT_TRUE(b.deadline().has_value());
-  EXPECT_DOUBLE_EQ(b.deadline()->value, 1070.0);
-  b.set_service_estimate(0, Ns{60.0});
-  EXPECT_DOUBLE_EQ(b.deadline()->value, 1040.0);
-  ASSERT_TRUE(b.poll(Ns{1040.0}).has_value());
-  EXPECT_DOUBLE_EQ(b.virtual_time(0), 1.0);  // request_cost 1 x 1 request
-  b.set_request_cost(0, 4.0);
-  b.add(make_request(1, 2000.0));
-  ASSERT_TRUE(b.flush(Ns{2000.0}).has_value());
-  EXPECT_DOUBLE_EQ(b.virtual_time(0), 5.0);  // + 4.0 under the new cost
-  // Setter validation mirrors the constructor's.
-  EXPECT_THROW(b.set_service_estimate(1, Ns{1.0}), std::runtime_error);
-  EXPECT_THROW(b.set_service_estimate(0, Ns{-1.0}), std::runtime_error);
-  EXPECT_THROW(b.set_request_cost(0, 0.0), std::runtime_error);
 }
 
 TEST(QosRuntime, StaleScavengerTriggerNeverBackdatesDispatch) {
@@ -721,7 +520,7 @@ TEST(QosRuntime, StaleScavengerTriggerNeverBackdatesDispatch) {
 
 TEST(QosRuntime, PerClassReportAccountingIsConsistent) {
   QosServeFixture fx;
-  const auto report = fx.run(3, /*open=*/true, /*overlap=*/false);
+  const auto report = fx.run(3, /*open=*/true, /*phased=*/true);
   ASSERT_EQ(report.classes.size(), 3u);
   std::size_t queries = 0, batches = 0;
   double device = 0.0, share = 0.0;

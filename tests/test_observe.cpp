@@ -294,7 +294,7 @@ struct ObserveFixture {
   struct RunOpts {
     std::size_t classes = 1;
     bool open = false;
-    bool overlap = false;
+    bool phased = false;  ///< max_inflight = 0 reference path
     bool gated = false;
     bool streaming = false;
     bool self_profile = false;
@@ -309,8 +309,7 @@ struct ObserveFixture {
     cfg.batcher.max_batch = 4;
     cfg.batcher.max_wait = Ns{300000.0};
     cfg.cache.capacity_rows = 1024;
-    cfg.overlap = o.overlap;
-    cfg.max_inflight = 3;
+    if (o.phased) cfg.max_inflight = 0;
     cfg.streaming_report = o.streaming;
     cfg.self_profile = o.self_profile;
     if (o.classes > 1) {
@@ -363,11 +362,11 @@ TEST(ObserveRuntime, ReportsBitIdenticalWithObservationAttached) {
   ObserveFixture fx;
   for (const std::size_t classes : {std::size_t{1}, std::size_t{3}}) {
     for (const bool open : {false, true}) {
-      for (const bool overlap : {false, true}) {
+      for (const bool phased : {false, true}) {
         ObserveFixture::RunOpts plain;
         plain.classes = classes;
         plain.open = open;
-        plain.overlap = overlap;
+        plain.phased = phased;
         const auto unobserved = fx.run(plain);
 
         TraceLog trace;
@@ -389,7 +388,6 @@ TEST(ObserveRuntime, GatedRunBitIdenticalWithObservation) {
   ObserveFixture::RunOpts plain;
   plain.classes = 3;
   plain.open = true;
-  plain.overlap = true;
   plain.gated = true;
   const auto unobserved = fx.run(plain);
   TraceLog trace;
@@ -407,7 +405,6 @@ TEST(ObserveRuntime, TraceOfRealRunIsWellFormed) {
   ObserveFixture::RunOpts o;
   o.classes = 3;
   o.open = true;
-  o.overlap = true;
   o.gated = true;
   o.self_profile = true;
   o.update_fraction = 0.2;  // write-back spans land on the ET tracks

@@ -3,7 +3,7 @@
 // weighted-load formula), runtime warmup profiling, and the ISSUE's
 // placement permutation-invariance property — ANY placement policy must
 // yield identical top-k/scores to uniform placement (timing may differ,
-// results may not), across the overlap x loop x class grid.
+// results may not), across the phased/deferred x loop x class grid.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -181,7 +181,7 @@ struct PlacementFixture {
 
   /// One serving run; `mutate` tweaks the config (placement, maps, ...).
   template <class Fn>
-  serve::ServeReport run(std::size_t classes, bool open, bool overlap,
+  serve::ServeReport run(std::size_t classes, bool open, bool phased,
                          Fn&& mutate) {
     ServingConfig cfg;
     cfg.shards = 3;
@@ -189,8 +189,7 @@ struct PlacementFixture {
     cfg.batcher.max_batch = 4;
     cfg.batcher.max_wait = Ns{300000.0};
     cfg.cache.capacity_rows = 256;
-    cfg.overlap = overlap;
-    cfg.max_inflight = 3;
+    if (phased) cfg.max_inflight = 0;
     if (classes > 1) {
       serve::QosClassConfig interactive;
       interactive.name = "interactive";
@@ -239,7 +238,7 @@ struct PlacementFixture {
 TEST(RuntimePlacement, WarmupWindowPinsHotRowsAndReportsPinHits) {
   PlacementFixture fx;
   const auto report =
-      fx.run(1, /*open=*/false, /*overlap=*/false, [](ServingConfig& cfg) {
+      fx.run(1, /*open=*/false, /*phased=*/true, [](ServingConfig& cfg) {
         cfg.placement.enabled = true;
         cfg.placement.hot_rows = 16;
         cfg.placement.warmup_queries = 24;
@@ -259,8 +258,8 @@ TEST(RuntimePlacement, PlacementRunsAreSeedDeterministic) {
     cfg.placement.hot_rows = 12;
     cfg.placement.warmup_queries = 20;
   };
-  const auto a = fx.run(1, true, true, configure);
-  const auto b = fx.run(1, true, true, configure);
+  const auto a = fx.run(1, true, false, configure);
+  const auto b = fx.run(1, true, false, configure);
   serve_test::expect_reports_identical(a, b);
   EXPECT_EQ(a.pinned_items, b.pinned_items);
   EXPECT_EQ(a.routed_items, b.routed_items);
@@ -285,18 +284,18 @@ TEST(RuntimePlacement, MisconfiguredPlacementRejected) {
 // Any placement policy — warmup-profiled pins, an adversarial offline
 // histogram, even every hot row slammed onto one shard — must yield
 // identical per-query top-k/scores to uniform placement, across the
-// overlap x loop x class grid. Timing may differ; results may not.
+// phased/deferred x loop x class grid. Timing may differ; results may not.
 
 TEST(RuntimePlacement, PermutationInvarianceAcrossOverlapLoopClassGrid) {
   PlacementFixture fx;
   for (const std::size_t classes : {std::size_t{1}, std::size_t{3}}) {
     for (const bool open : {false, true}) {
-      for (const bool overlap : {false, true}) {
+      for (const bool phased : {false, true}) {
         const auto uniform =
-            fx.run(classes, open, overlap, [](ServingConfig&) {});
+            fx.run(classes, open, phased, [](ServingConfig&) {});
         // Warmup-profiled frequency-aware pins.
         const auto pinned =
-            fx.run(classes, open, overlap, [](ServingConfig& cfg) {
+            fx.run(classes, open, phased, [](ServingConfig& cfg) {
               cfg.placement.enabled = true;
               cfg.placement.hot_rows = 24;
               cfg.placement.warmup_queries = 24;
@@ -304,7 +303,7 @@ TEST(RuntimePlacement, PermutationInvarianceAcrossOverlapLoopClassGrid) {
         // Adversarial offline histogram: fabricated frequencies pinning a
         // spread of item keys wherever the greedy sends them.
         const auto offline =
-            fx.run(classes, open, overlap, [](ServingConfig& cfg) {
+            fx.run(classes, open, phased, [](ServingConfig& cfg) {
               cfg.placement.enabled = true;
               cfg.placement.hot_rows = 32;
               for (std::size_t k = 0; k < 32; ++k)
@@ -313,7 +312,7 @@ TEST(RuntimePlacement, PermutationInvarianceAcrossOverlapLoopClassGrid) {
             });
         // Pathological hand-built map: every third key pinned to shard 2.
         const auto lopsided =
-            fx.run(classes, open, overlap, [](ServingConfig& cfg) {
+            fx.run(classes, open, phased, [](ServingConfig& cfg) {
               ShardMap map = ShardMap::uniform(3);
               std::vector<std::pair<std::size_t, std::uint32_t>> pins;
               for (std::size_t k = 0; k < 90; k += 3) pins.push_back({k, 2});

@@ -1,8 +1,8 @@
 // Tests for the backend-agnostic staged-pipeline engine (src/serve/):
 // ShardMap disjoint covers and capability weighting, heterogeneous-
 // partition merge correctness against the single-backend oracle, CTR
-// serving parity against serial ImarsCtrBackend::score, async stage-
-// overlap determinism, Poisson open-loop arrivals, and the stage DAG:
+// serving parity against serial ImarsCtrBackend::score, deferred-
+// collection determinism, Poisson open-loop arrivals, and the stage DAG:
 // spec validation, diamond-graph fan-out/join timing, tower-parallel CTR
 // graphs, graph-aware QoS service estimates, and the DAG<->linear
 // bit-parity grid.
@@ -11,6 +11,7 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "baseline/cpu_backend.hpp"
@@ -376,40 +377,59 @@ TEST(CtrServable, ServesThroughSharedRuntime) {
             report.shards[1].last_stage_busy().value);
 }
 
-// --- Async overlap determinism ---------------------------------------------
+// --- Deferred-collection determinism ---------------------------------------
 
+// Deferred collection is chosen automatically for open-loop ungated runs
+// and must report exactly what the phased reference (max_inflight = 0)
+// reports; closed-loop and gated runs stay phased whatever max_inflight is.
 TEST(ServingRuntime, OverlapPreservesHardwareTimeReport) {
   FilterRankFixture fx;
 
-  auto run_once = [&](bool overlap) {
+  auto run_once = [&](bool phased, bool open, bool gated) {
     ServingConfig cfg;
     cfg.shards = 3;
     cfg.k = 5;
     cfg.batcher.max_batch = 4;
     cfg.batcher.max_wait = Ns{300000.0};
     cfg.cache.capacity_rows = 1024;
-    cfg.overlap = overlap;
-    cfg.max_inflight = 3;
+    if (phased) cfg.max_inflight = 0;
+    if (gated) {
+      cfg.qos = serve::QosBatcherConfig::single(cfg.batcher);
+      cfg.qos.admit_window = Ns{50000.0};
+    }
     ServingRuntime rt(fx.factory, cfg, core::ArchConfig{},
                       device::DeviceProfile::fefet45());
     LoadGenConfig lg;
     lg.clients = 8;
     lg.total_queries = 40;
     lg.num_users = fx.users.size();
-    lg.arrivals = ArrivalProcess::kOpenPoisson;
-    lg.rate_qps = 2.0e5;  // well into the knee for the oracle's zero cost
+    if (open) {
+      lg.arrivals = ArrivalProcess::kOpenPoisson;
+      lg.rate_qps = 2.0e5;  // well into the knee for the oracle's zero cost
+    }
     lg.seed = 71;
     LoadGenerator gen(lg);
     return rt.run(gen, fx.users);
   };
 
-  const auto phased = run_once(false);
-  const auto overlapped = run_once(true);
-  serve_test::expect_reports_identical(phased, overlapped);
-  EXPECT_DOUBLE_EQ(phased.p99_latency_ns(), overlapped.p99_latency_ns());
+  const auto phased = run_once(true, /*open=*/true, /*gated=*/false);
+  const auto deferred = run_once(false, /*open=*/true, /*gated=*/false);
+  serve_test::expect_reports_identical(phased, deferred);
+  EXPECT_DOUBLE_EQ(phased.p99_latency_ns(), deferred.p99_latency_ns());
   for (std::size_t s = 0; s < 3; ++s)
     EXPECT_DOUBLE_EQ(phased.rank_utilization(s),
-                     overlapped.rank_utilization(s));
+                     deferred.rank_utilization(s));
+  EXPECT_EQ(phased.peak_inflight, 1u);
+  EXPECT_GT(deferred.peak_inflight, 1u);
+
+  for (const auto [open, gated] : {std::pair{false, false},
+                                   std::pair{false, true},
+                                   std::pair{true, true}}) {
+    const auto ref = run_once(true, open, gated);
+    const auto def = run_once(false, open, gated);
+    serve_test::expect_reports_identical(ref, def);
+    EXPECT_EQ(def.peak_inflight, 1u) << "open=" << open << " gated=" << gated;
+  }
 }
 
 // --- Co-resident tenants (distinct servables, one pipeline) ----------------
@@ -1189,7 +1209,7 @@ TEST(ServingRuntime, ExplicitGraphMatchesImplicitChainAcrossGrid) {
   FilterRankFixture fx;
 
   auto run_once = [&](bool explicit_graph, std::size_t classes, bool open,
-                      bool overlap) {
+                      bool phased) {
     auto router = std::make_unique<ShardRouter>(fx.factory, 3);
     if (explicit_graph) {
       PipelineSpec spec = ShardRouter::pipeline_spec();
@@ -1201,8 +1221,7 @@ TEST(ServingRuntime, ExplicitGraphMatchesImplicitChainAcrossGrid) {
     cfg.batcher.max_batch = 4;
     cfg.batcher.max_wait = Ns{300000.0};
     cfg.cache.capacity_rows = 1024;
-    cfg.overlap = overlap;
-    cfg.max_inflight = 3;
+    if (phased) cfg.max_inflight = 0;
     if (classes > 1) {
       serve::QosClassConfig interactive;
       interactive.name = "interactive";
@@ -1241,13 +1260,13 @@ TEST(ServingRuntime, ExplicitGraphMatchesImplicitChainAcrossGrid) {
 
   for (const std::size_t classes : {std::size_t{1}, std::size_t{3}}) {
     for (const bool open : {false, true}) {
-      for (const bool overlap : {false, true}) {
-        const auto implicit = run_once(false, classes, open, overlap);
-        const auto explicit_graph = run_once(true, classes, open, overlap);
+      for (const bool phased : {false, true}) {
+        const auto implicit = run_once(false, classes, open, phased);
+        const auto explicit_graph = run_once(true, classes, open, phased);
         serve_test::expect_reports_identical(implicit, explicit_graph);
         ASSERT_EQ(implicit.size(), 40u)
             << "classes=" << classes << " open=" << open
-            << " overlap=" << overlap;
+            << " phased=" << phased;
       }
     }
   }

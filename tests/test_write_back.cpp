@@ -1,9 +1,10 @@
 // Write-back cache model tests: dirty-row bookkeeping and flush accounting
 // in HotEmbeddingCache, the LoadGenerator update mix, and the runtime-level
 // edge cases the ISSUE pins down — dirty-row eviction while a batch is in
-// flight (overlap on/off must stay bit-identical), a flushed row
-// re-admitted on the very next access (must come back clean), and a
-// zero-capacity cache with updates enabled (pure write-through, no crash).
+// flight (deferred and phased collection must stay bit-identical), a
+// flushed row re-admitted on the very next access (must come back clean),
+// and a zero-capacity cache with updates enabled (pure write-through, no
+// crash).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -185,15 +186,14 @@ struct WriteBackFixture {
   }
 
   serve::ServeReport run(std::size_t cache_rows, double update_fraction,
-                         bool open, bool overlap) {
+                         bool open, bool phased) {
     ServingConfig cfg;
     cfg.shards = 3;
     cfg.k = 5;
     cfg.batcher.max_batch = 4;
     cfg.batcher.max_wait = Ns{300000.0};
     cfg.cache.capacity_rows = cache_rows;
-    cfg.overlap = overlap;
-    cfg.max_inflight = 3;
+    if (phased) cfg.max_inflight = 0;
     ServingRuntime rt(factory, cfg, core::ArchConfig{},
                       device::DeviceProfile::fefet45());
     LoadGenConfig lg;
@@ -221,7 +221,7 @@ struct WriteBackFixture {
 TEST(WriteBackRuntime, ZeroCapacityCacheWithUpdatesIsPureWriteThrough) {
   WriteBackFixture fx;
   const auto report = fx.run(/*cache_rows=*/0, /*update_fraction=*/0.25,
-                             /*open=*/false, /*overlap=*/false);
+                             /*open=*/false, /*phased=*/true);
   // Queries + updates cover the whole stream; nothing crashed.
   EXPECT_GT(report.updates, 0u);
   EXPECT_EQ(report.size() + report.updates, 60u);
@@ -241,20 +241,20 @@ TEST(WriteBackRuntime, ZeroCapacityCacheWithUpdatesIsPureWriteThrough) {
 TEST(WriteBackRuntime, DirtyEvictionDuringInflightBatchStaysDeterministic) {
   WriteBackFixture fx;
   // A small cache under Zipf read traffic + a 25% update mix: admissions
-  // keep evicting rows that updates dirtied, including while overlapped
+  // keep evicting rows that updates dirtied, including while deferred
   // batches are in flight. The timestamp-ordered update application must
-  // keep overlap on/off bit-identical.
+  // keep deferred and phased collection bit-identical.
   for (const bool open : {false, true}) {
-    const auto phased = fx.run(48, 0.25, open, /*overlap=*/false);
-    const auto phased_again = fx.run(48, 0.25, open, /*overlap=*/false);
-    const auto overlapped = fx.run(48, 0.25, open, /*overlap=*/true);
+    const auto phased = fx.run(48, 0.25, open, /*phased=*/true);
+    const auto phased_again = fx.run(48, 0.25, open, /*phased=*/true);
+    const auto deferred = fx.run(48, 0.25, open, /*phased=*/false);
     serve_test::expect_reports_identical(phased, phased_again);
-    serve_test::expect_reports_identical(phased, overlapped);
-    EXPECT_EQ(phased.updates, overlapped.updates);
-    EXPECT_EQ(phased.cache.flushes, overlapped.cache.flushes);
-    EXPECT_EQ(phased.flush_bytes, overlapped.flush_bytes);
+    serve_test::expect_reports_identical(phased, deferred);
+    EXPECT_EQ(phased.updates, deferred.updates);
+    EXPECT_EQ(phased.cache.flushes, deferred.cache.flushes);
+    EXPECT_EQ(phased.flush_bytes, deferred.flush_bytes);
     EXPECT_DOUBLE_EQ(phased.update_cost.latency.value,
-                     overlapped.update_cost.latency.value);
+                     deferred.update_cost.latency.value);
     // The edge case actually fired: dirty rows were evicted mid-run.
     EXPECT_GT(phased.cache.flushes, 0u) << "open=" << open;
     EXPECT_GT(phased.cache.update_hits, 0u);
@@ -263,7 +263,7 @@ TEST(WriteBackRuntime, DirtyEvictionDuringInflightBatchStaysDeterministic) {
 
 TEST(WriteBackRuntime, ReadOnlyStreamHasNoWriteTraffic) {
   WriteBackFixture fx;
-  const auto report = fx.run(512, 0.0, /*open=*/false, /*overlap=*/false);
+  const auto report = fx.run(512, 0.0, /*open=*/false, /*phased=*/true);
   EXPECT_EQ(report.updates, 0u);
   EXPECT_EQ(report.cache.updates(), 0u);
   EXPECT_EQ(report.cache.flushes, 0u);
@@ -278,7 +278,7 @@ TEST(WriteBackRuntime, UpdatesLeaveResultsUnchanged) {
   // The write-back model charges time and energy but never mutates what a
   // query computes: the query subsequence of a mixed stream returns the
   // same top-k as the same users queried read-only.
-  const auto mixed = fx.run(128, 0.25, /*open=*/false, /*overlap=*/false);
+  const auto mixed = fx.run(128, 0.25, /*open=*/false, /*phased=*/true);
   for (const auto& q : mixed.queries) {
     ASSERT_FALSE(q.topk.empty());
   }
